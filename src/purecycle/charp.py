@@ -27,14 +27,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+from .arith import require_prime
 from .errors import InvalidTypeError
-from .hurwitz import hurwitz_formula_badtype, hurwitz_formula_pure4, is_prime
+from .hurwitz import hurwitz_formula_badtype, hurwitz_formula_pure4
 from .perm import CycleType
-
-
-def _require_prime(p: int) -> None:
-    if not is_prime(p):
-        raise InvalidTypeError(f"{p} is not prime")
 
 
 @dataclass(frozen=True)
@@ -112,7 +108,7 @@ def tail_invariants(p: int, tail_class: Sequence[int] | CycleType) -> TailInvari
 
     A p-cycle class has no tail and is rejected.
     """
-    _require_prime(p)
+    require_prime(p)
     if isinstance(tail_class, CycleType):
         tail_class = tail_class.lengths
     lengths = tuple(sorted(tail_class))
@@ -138,7 +134,7 @@ def tail_invariants(p: int, tail_class: Sequence[int] | CycleType) -> TailInvari
 def tail_aut_orders(p: int, e: int) -> AutOrders:
     """Automorphism orders of the type-e tail: (p-e)/2 for odd e, p-e for even
     e; the point-fixing subgroup has order h_e in both cases."""
-    _require_prime(p)
+    require_prime(p)
     if not 2 <= e <= p - 1:
         raise InvalidTypeError(f"need 2 <= e <= p-1, got e={e}")
     full = (p - e) // 2 if e % 2 else p - e
@@ -147,7 +143,7 @@ def tail_aut_orders(p: int, e: int) -> AutOrders:
 
 def signature_check(p: int, classes: Sequence[Sequence[int]]) -> bool:
     """Does sum(sigma_i) equal r-2 exactly (sigma = 0 for p-cycle classes)?"""
-    _require_prime(p)
+    require_prime(p)
     r = len(classes)
     if r not in (3, 4):
         raise InvalidTypeError("signature identity applies to r in {3, 4}")
@@ -164,7 +160,7 @@ def wewers_lift_count(
     p: int, n_prime: Fraction | int, tails: Sequence[tuple[int, int]]
 ) -> Fraction:
     """(p-1)/n' * prod h_i/|Aut0_i| over the tails, as an exact rational."""
-    _require_prime(p)
+    require_prime(p)
     n_prime = Fraction(n_prime)
     if n_prime <= 0:
         raise InvalidTypeError("n' must be positive")
@@ -184,7 +180,7 @@ def n_prime_tau_star(
 
         (1 + [e1 = e2]) * N * (p-1) / (gcd(p-1, e1+e2-2) * gamma * |Aut0|)
     """
-    _require_prime(p)
+    require_prime(p)
     if min(n_tails, aut0, gamma) <= 0:
         raise InvalidTypeError("parameters must be positive")
     delta = 1 if e1 == e2 else 0
@@ -205,7 +201,7 @@ def bad_count_2cycle(p: int, e1: int, e2: int, e3: int, e4: int) -> ReductionCou
     interval {n, 2n} is returned.  The exceptional type (5; 2-2, 4, 4) is not
     covered.
     """
-    _require_prime(p)
+    require_prime(p)
     if e1 > e2:
         raise InvalidTypeError("need e1 <= e2")
     if e1 + e2 + e3 + e4 != 2 * p + 2:
@@ -233,7 +229,7 @@ def p_hurwitz_3pt_badtype(p: int, e1: int, e2: int, e3: int, e4: int) -> Reducti
 def three_point_good_reduction(d: int, a: int, b: int, c: int, p: int) -> bool:
     """A genus-0 three-point cover of type (d; a,b,c) with a,b,c < p has good
     reduction iff its degree is strictly less than p."""
-    _require_prime(p)
+    require_prime(p)
     if max(a, b, c) >= p:
         raise InvalidTypeError("all three indices must be < p")
     if a + b + c != 2 * d + 1 or max(a, b, c) > d or min(a, b, c) < 2:
@@ -242,7 +238,7 @@ def three_point_good_reduction(d: int, a: int, b: int, c: int, p: int) -> bool:
 
 
 def _validate_sorted_pure4(p: int, es: tuple[int, int, int, int]) -> None:
-    _require_prime(p)
+    require_prime(p)
     e1, e2, e3, e4 = es
     if not (1 < e1 <= e2 <= e3 <= e4 < p):
         raise InvalidTypeError(f"need 1 < e1 <= e2 <= e3 <= e4 < p, got {es}")
@@ -294,7 +290,7 @@ def single_cycle_node_bad_general(
     (d-p+1)(d+p+1-e3-e4) when d+1 >= e2+e3 or d+1-e1 < p; otherwise every
     single-cycle-node admissible cover is bad and the full mass is returned.
     """
-    _require_prime(p)
+    require_prime(p)
     es = (e1, e2, e3, e4)
     if tuple(sorted(es)) != es or not (1 < e1 and e4 < p):
         raise InvalidTypeError(f"need 1 < e1 <= e2 <= e3 <= e4 < p, got {es}")
@@ -313,7 +309,7 @@ def p_hurwitz_pure4(p: int, e1: int, e2: int, e3: int, e4: int) -> int:
     """p-Hurwitz number of a genus-0 pure-cycle 4-point type of degree p:
     min_i e_i(p+1-e_i) - p."""
     es = (e1, e2, e3, e4)
-    _require_prime(p)
+    require_prime(p)
     if any(not 2 <= e < p for e in es):
         raise InvalidTypeError(f"need 2 <= e_i < p, got {es}")
     return hurwitz_formula_pure4(p, es) - p

@@ -56,14 +56,9 @@ class RunConfig:
     pure_max_degree: int | None
     order_cap: int
     fmt: str
-    jobs: int
     slow: bool
 
     def __post_init__(self):
-        if self.fmt not in FORMATS:
-            raise InvalidTypeError(f"format must be one of {FORMATS}")
-        if self.jobs < 1:
-            raise InvalidTypeError("--jobs must be at least 1")
         for bound in (self.max_degree, self.pure_max_degree):
             if bound is not None and bound < 3:
                 raise InvalidTypeError("degree bounds below 3 are meaningless")
@@ -85,7 +80,6 @@ def _config(args) -> RunConfig:
         pure_max_degree=_env_int("PURECYCLE_PURE_MAX_DEGREE"),
         order_cap=_env_int("PURECYCLE_ORDER_CAP") or 10**8,
         fmt=getattr(args, "format", "table"),
-        jobs=getattr(args, "jobs", 1),
         slow=getattr(args, "slow", False),
     )
 
@@ -113,13 +107,6 @@ def _emit(rows: list[dict], fmt: str, out) -> None:
         out.write("  ".join(str(r[h]).ljust(widths[h]) for h in headers).rstrip() + "\n")
 
 
-def _badtype_exponents(t: RamificationType) -> tuple[int, int, int, int]:
-    pair = next(cl for cl in t.classes if len(cl.lengths) == 2)
-    singles = sorted(cl.lengths[0] for cl in t.classes if len(cl.lengths) == 1)
-    e1, e2 = sorted(pair.lengths)
-    return e1, e2, singles[0], singles[1]
-
-
 def _formula_count(t: RamificationType) -> int:
     if t.is_pure_cycle:
         es = t.exponents
@@ -130,8 +117,9 @@ def _formula_count(t: RamificationType) -> int:
         if len(es) == 4:
             return hurwitz_formula_pure4(t.degree, es)
         raise InvalidTypeError("closed formulas cover 3 or 4 branch points only")
-    if len(t.classes) == 3 and sum(len(cl.lengths) == 2 for cl in t.classes) == 1:
-        return hurwitz_formula_badtype(t.degree, *_badtype_exponents(t))
+    exponents = t.two_cycle_exponents()
+    if exponents is not None:
+        return hurwitz_formula_badtype(t.degree, *exponents)
     raise InvalidTypeError(f"no closed formula for type {t}")
 
 
@@ -228,8 +216,8 @@ def cmd_charp(args, cfg: RunConfig, out) -> int:
             "bad": str(bad),
             "good_degeneration": {True: "true", None: "unknown"}[flag],
         }
-    elif len(t.classes) == 3 and sum(len(cl.lengths) == 2 for cl in t.classes) == 1:
-        e1, e2, e3, e4 = _badtype_exponents(t)
+    elif (exponents := t.two_cycle_exponents()) is not None:
+        e1, e2, e3, e4 = exponents
         row = {
             "type": str(t),
             "h": hurwitz_formula_badtype(p, e1, e2, e3, e4),
@@ -320,8 +308,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p):
         p.add_argument("--format", choices=FORMATS, default="table")
-        p.add_argument("--jobs", type=int, default=1, help="accepted for "
-                       "compatibility; execution is serial and deterministic")
 
     p = sub.add_parser("hurwitz", help="Hurwitz number of a type")
     p.add_argument("type", help="e.g. 5:2,2,4,4 or 7:3-3,3,7")

@@ -24,8 +24,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+from .arith import require_prime
 from .errors import BoundExceededError, InvalidTypeError
-from .hurwitz import is_prime
 
 
 class FpPoly:
@@ -34,8 +34,7 @@ class FpPoly:
     __slots__ = ("p", "coeffs")
 
     def __init__(self, p: int, coeffs: Iterable[int] = ()):
-        if not is_prime(p):
-            raise InvalidTypeError(f"{p} is not prime")
+        require_prime(p)
         vals = [c % p for c in coeffs]
         while vals and vals[-1] == 0:
             vals.pop()
@@ -213,22 +212,15 @@ def pow_mod(base: FpPoly, exponent: int, modulus: FpPoly) -> FpPoly:
 
 
 def lucas_binomial(n: int, k: int, p: int) -> int:
-    """C(n, k) mod p via base-p digits and small factorials."""
-    if not is_prime(p):
-        raise InvalidTypeError(f"{p} is not prime")
+    """C(n, k) mod p as the product of C(n_i, k_i) over base-p digits (Lucas)."""
+    require_prime(p)
     if k < 0 or k > n:
         return 0
-    fact = [1] * p
-    for i in range(1, p):
-        fact[i] = fact[i - 1] * i % p
     out = 1
-    while n or k:
-        nd, kd = n % p, k % p
-        if kd > nd:
-            return 0
-        out = out * fact[nd] * pow(fact[kd] * fact[nd - kd] % p, -1, p) % p
-        n //= p
-        k //= p
+    while k and out:
+        n, nd = divmod(n, p)
+        k, kd = divmod(k, p)
+        out = out * math.comb(nd, kd) % p
     return out
 
 
@@ -245,8 +237,7 @@ class KummerData:
 
     def __post_init__(self):
         object.__setattr__(self, "a", tuple(self.a))
-        if not is_prime(self.p):
-            raise InvalidTypeError(f"{self.p} is not prime")
+        require_prime(self.p)
         if len(self.a) != 4:
             raise InvalidTypeError("exactly four exponents required")
         if any(not 0 <= ai <= self.p - 1 for ai in self.a):
@@ -359,8 +350,7 @@ def irreducible_factor_degrees(f: FpPoly) -> list[int]:
 
 def tail_polynomial_single(p: int, e: int) -> FpPoly:
     """F(y) = y^p + y^e, the degree-p tail with tame index e at y = 0."""
-    if not is_prime(p):
-        raise InvalidTypeError(f"{p} is not prime")
+    require_prime(p)
     if not 2 <= e <= p - 1:
         raise InvalidTypeError(f"need 2 <= e <= p-1, got e={e}")
     return FpPoly.monomial(p, p) + FpPoly.monomial(p, e)
@@ -369,8 +359,7 @@ def tail_polynomial_single(p: int, e: int) -> FpPoly:
 def tail_polynomial_cofactor(p: int, e1: int, e2: int) -> FpPoly:
     """The monic degree p-e1-e2 cofactor Ftilde of the two-point tail, from
     the downward recursion c_{i-1} = c_i (e1+i) / (e1+e2+i-1)."""
-    if not is_prime(p):
-        raise InvalidTypeError(f"{p} is not prime")
+    require_prime(p)
     if not (2 <= e1 <= e2 and e1 + e2 <= p):
         raise InvalidTypeError(f"need 2 <= e1 <= e2 and e1+e2 <= p, got ({e1},{e2})")
     n = p - e1 - e2
@@ -406,6 +395,17 @@ class RamificationProfile:
     wild_at_infinity: bool
 
 
+def _divide_out(g: FpPoly, linear: FpPoly) -> tuple[FpPoly, int]:
+    """(g / linear^k, k) for the largest k with linear^k dividing g."""
+    k = 0
+    while True:
+        quot, rem = divmod(g, linear)
+        if not rem.is_zero():
+            return g, k
+        g = quot
+        k += 1
+
+
 def ramification_profile(f: FpPoly) -> RamificationProfile:
     """Ramification of the map y -> f(y) on the affine line.
 
@@ -426,21 +426,8 @@ def ramification_profile(f: FpPoly) -> RamificationProfile:
         if rest(rho) != 0:
             continue
         linear = FpPoly(p, (-rho, 1))
-        mult = 0
-        while True:
-            quot, rem = divmod(rest, linear)
-            if not rem.is_zero():
-                break
-            rest = quot
-            mult += 1
-        shifted = f - FpPoly(p, (f(rho),))
-        local = 0
-        while True:
-            quot, rem = divmod(shifted, linear)
-            if not rem.is_zero():
-                break
-            shifted = quot
-            local += 1
+        rest, mult = _divide_out(rest, linear)
+        _, local = _divide_out(f - FpPoly(p, (f(rho),)), linear)
         if local % p == 0:
             raise InvalidTypeError(f"wild finite ramification at y = {rho}")
         assert local - 1 == mult, "tame local index inconsistent with derivative"

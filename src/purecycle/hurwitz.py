@@ -20,13 +20,14 @@ from __future__ import annotations
 
 import itertools
 import json
-import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
+from .arith import is_prime
 from .errors import BoundExceededError, InvalidTypeError
+from .group import is_transitive
 from .perm import (
     CycleType,
     Perm,
@@ -44,15 +45,6 @@ from .perm import (
 
 DEFAULT_MAX_DEGREE = 9
 PURE_CYCLE_MAX_DEGREE = 11
-
-
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for q in range(2, int(math.isqrt(n)) + 1):
-        if n % q == 0:
-            return False
-    return True
 
 
 @dataclass(frozen=True)
@@ -117,10 +109,18 @@ class RamificationType:
             raise InvalidTypeError(f"type {self} has negative genus")
         return twice // 2
 
+    def two_cycle_exponents(self) -> tuple[int, int, int, int] | None:
+        """(e1, e2, e3, e4) with e1 <= e2 and e3 <= e4 for the shape
+        (d; e1-e2, e3, e4), in any class order; None for every other shape."""
+        pairs = [cl.lengths for cl in self.classes if len(cl.lengths) == 2]
+        singles = sorted(cl.lengths[0] for cl in self.classes if len(cl.lengths) == 1)
+        if len(self.classes) != 3 or len(pairs) != 1 or len(singles) != 2:
+            return None
+        e1, e2 = sorted(pairs[0])
+        return e1, e2, singles[0], singles[1]
 
-def genus_of_type(t: RamificationType) -> int:
-    """Cover genus of a ramification type; see RamificationType.genus."""
-    return t.genus()
+
+genus_of_type = RamificationType.genus
 
 
 @dataclass(frozen=True)
@@ -136,7 +136,7 @@ class HurwitzFactorization:
             raise InvalidTypeError("permutation degree differs from factorization degree")
         if compose_all(self.perms, self.degree) != identity(self.degree):
             raise InvalidTypeError("left-to-right product is not the identity")
-        if not _transitive(self.perms, self.degree):
+        if not is_transitive(self.perms, self.degree):
             raise InvalidTypeError("generated group is not transitive")
 
     def ramification_type(self) -> RamificationType:
@@ -263,14 +263,12 @@ def monodromy_classify(t: RamificationType) -> MonodromyClass:
             return alternating(d)
         return symmetric(d)
 
-    pair = [cl for cl in t.classes if len(cl.lengths) == 2]
-    singles = [cl for cl in t.classes if len(cl.lengths) == 1]
-    if len(t.classes) != 3 or len(pair) != 1 or len(singles) != 2:
+    exponents = t.two_cycle_exponents()
+    if exponents is None:
         raise InvalidTypeError(f"type {t} is outside the classified shapes")
     if not is_prime(d):
         raise InvalidTypeError("two-cycle classifier needs prime degree")
-    e1, e2 = sorted(pair[0].lengths)
-    e3, e4 = sorted(cl.lengths[0] for cl in singles)
+    e1, e2, e3, e4 = exponents
     if e1 + e2 > d:
         raise InvalidTypeError("two-cycle classifier needs e1+e2 <= p")
     if t.genus() != 0:
@@ -283,21 +281,6 @@ def monodromy_classify(t: RamificationType) -> MonodromyClass:
 
 
 # -- enumeration -------------------------------------------------------------
-
-
-def _transitive(perms: Iterable[Perm], degree: int) -> bool:
-    reach = {0}
-    queue = [0]
-    gens = list(perms)
-    for a in queue:
-        for g in gens:
-            b = g[a]
-            if b not in reach:
-                reach.add(b)
-                queue.append(b)
-                if len(reach) == degree:
-                    return True
-    return len(reach) == degree
 
 
 def _conjugate_tuple(s: Perm, perms: tuple[Perm, ...]) -> tuple[Perm, ...]:
@@ -354,7 +337,7 @@ def _search_r3(
         if cycle_lengths(w) != target:
             continue
         g2 = tuple(int(v) for v in rows[k])
-        if not _transitive((g2, anchor), d):
+        if not is_transitive((g2, anchor), d):
             continue
         yield (inverse(w), g2, anchor)
 
@@ -386,7 +369,7 @@ def _search_r4(
                 continue
             other = tuple(int(v) for v in rows[k])
             g2, g3 = (other, s) if vectorize_c2 else (s, other)
-            if not _transitive((g2, g3, anchor), d):
+            if not is_transitive((g2, g3, anchor), d):
                 continue
             yield (inverse(w), g2, g3, anchor)
 
@@ -400,7 +383,7 @@ def _search_generic(
         w = compose_all(combo + (anchor,), d)
         if cycle_lengths(w) != target:
             continue
-        if not _transitive(combo + (anchor,), d):
+        if not is_transitive(combo + (anchor,), d):
             continue
         yield (inverse(w),) + combo + (anchor,)
 

@@ -209,9 +209,7 @@ class CycleType:
         return "-".join(str(l) for l in sorted(self.lengths))
 
 
-def cycle_type(g: Perm) -> CycleType:
-    """Conjugacy class of g, as its multiset of cycle lengths."""
-    return CycleType.of(g)
+cycle_type = CycleType.of
 
 
 def centralizer_order(t: CycleType) -> int:

@@ -117,11 +117,6 @@ def test_csv_format():
     assert row.split(",")[:3] == ["7", "3", "2"]
 
 
-def test_jobs_validation():
-    code, _, err = run_cli("hurwitz", "5:2,2,4,4", "--jobs", "0")
-    assert code == 2
-
-
 def test_verify_subset():
     code, out, _ = run_cli("verify", "--criteria", "2,7")
     assert code == 0

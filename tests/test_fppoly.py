@@ -2,7 +2,10 @@ import math
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from purecycle.arith import is_prime
 from purecycle.errors import InvalidTypeError
 from purecycle.fppoly import (
     FpPoly,
@@ -65,6 +68,31 @@ def test_lucas_binomial_matches_exact():
         for n in range(40):
             for k in range(n + 1):
                 assert lucas_binomial(n, k, p) == math.comb(n, k) % p
+
+
+PRIMES_TO_101 = [q for q in range(2, 102) if is_prime(q)]
+
+
+@st.composite
+def lucas_inputs(draw):
+    """(n, k, p) with p prime <= 101 and n < p^3.  The smaller of k and n - k
+    stays <= 2000, which keeps math.comb cheap and still reaches every base-p
+    digit of k, borrows included."""
+    p = draw(st.sampled_from(PRIMES_TO_101))
+    n = draw(st.integers(0, p**3 - 1))
+    j = draw(st.integers(0, min(n, 2000)))
+    return n, draw(st.sampled_from((j, n - j))), p
+
+
+@given(lucas_inputs())
+def test_lucas_binomial_matches_comb_property(args):
+    n, k, p = args
+    assert lucas_binomial(n, k, p) == math.comb(n, k) % p
+
+
+def test_lucas_binomial_rejects_composite_modulus():
+    with pytest.raises(InvalidTypeError):
+        lucas_binomial(5, 2, 9)
 
 
 def test_gcd_and_pow_mod():

@@ -40,6 +40,20 @@ def test_parse_and_str_roundtrip():
         assert str(RamificationType.parse(text)) == text
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["7:2-3,5,6", "7:2-3,6,5", "7:5,2-3,6", "7:6,2-3,5", "7:5,6,2-3", "7:6,5,2-3",
+     "7:3-2,5,6"],
+)
+def test_two_cycle_exponents_ignore_class_order(text):
+    assert RamificationType.parse(text).two_cycle_exponents() == (2, 3, 5, 6)
+
+
+@pytest.mark.parametrize("text", ["5:3,3,5", "5:2,2,4,4", "7:3,3,5,5", "7:2-3,5,6,7"])
+def test_two_cycle_exponents_none_for_other_shapes(text):
+    assert RamificationType.parse(text).two_cycle_exponents() is None
+
+
 def test_parse_rejects_malformed():
     for bad in ("5", "5:2,2", "5:2-3-4,5,5", "5:2-2,3-3,4", "x:2,2,4,4"):
         with pytest.raises(InvalidTypeError):
