@@ -28,6 +28,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .arith import require_prime
+from .braid import admissible_enumerate_char0
 from .errors import InvalidTypeError
 from .hurwitz import hurwitz_formula_badtype, hurwitz_formula_pure4
 from .perm import CycleType
@@ -101,6 +102,11 @@ def exact(n: int) -> ReductionCount:
 
 def ambiguous(n: int, double: int) -> ReductionCount:
     return ReductionCount(n, double)
+
+
+def _delta_undetermined(e1: int, e2: int, e3: int) -> bool:
+    """The factor delta in {1, 2} stays open when e1+e2 and e3 are both even."""
+    return (e1 + e2) % 2 == 0 and e3 % 2 == 0
 
 
 def tail_invariants(p: int, tail_class: Sequence[int] | CycleType) -> TailInvariants:
@@ -214,7 +220,7 @@ def bad_count_2cycle(p: int, e1: int, e2: int, e3: int, e4: int) -> ReductionCou
     if e1 == e2:
         assert n % 2 == 0  # p odd makes p+1-2*e1 even
         n //= 2
-    if (e1 + e2) % 2 == 0 and e3 % 2 == 0:
+    if _delta_undetermined(e1, e2, e3):
         return ambiguous(n, 2 * n)
     return exact(n)
 
@@ -264,11 +270,11 @@ def admissible_reduction_census(
     h = hurwitz_formula_pure4(p, es)
     single_bad = 2 * p + 1 - e3 - e4
     if (p, *es) == _EXCLUDED_2CYCLE:
-        pair_total = e1 * (p + 1 - e1 - e2) if p + 1 <= e2 + e3 else (
-            (e3 + e4 - p - 1) * (p + 1 - e4)
+        pair_total = next(
+            r.count for r in admissible_enumerate_char0(p, *es) if r.node.kind == "pair"
         )
         pair_bad = ReductionCount(0, min(2 * (p + 1 - e1 - e2), pair_total))
-    elif (e1 + e2) % 2 == 0 and e3 % 2 == 0:
+    elif _delta_undetermined(e1, e2, e3):
         pair_bad = ambiguous(p + 1 - e1 - e2, 2 * (p + 1 - e1 - e2))
     else:
         pair_bad = exact(p + 1 - e1 - e2)
@@ -321,6 +327,6 @@ def good_degeneration(p: int, e1: int, e2: int, e3: int, e4: int) -> bool | None
     None when e1+e2 and e3 are both even, where the question is open."""
     es = (e1, e2, e3, e4)
     _validate_sorted_pure4(p, es)
-    if (e1 + e2) % 2 == 0 and e3 % 2 == 0:
+    if _delta_undetermined(e1, e2, e3):
         return None
     return True

@@ -168,6 +168,7 @@ def cmd_admissible(args, cfg: RunConfig, out) -> int:
     if not t.is_pure_cycle or len(t.classes) != 4:
         raise InvalidTypeError("admissible taxonomy needs a pure-cycle 4-point type")
     es = tuple(sorted(t.exponents))
+    taxonomy = admissible_enumerate_char0(t.degree, *es)
     rows = [
         {
             "node": str(r.node),
@@ -175,18 +176,18 @@ def cmd_admissible(args, cfg: RunConfig, out) -> int:
             "multiplicity": r.multiplicity,
             "subtotal": r.subtotal,
         }
-        for r in admissible_enumerate_char0(t.degree, *es)
+        for r in taxonomy
     ]
     if args.char:
         p = args.char
         if t.degree != p:
             raise InvalidTypeError("reduction census needs degree equal to the characteristic")
         bad_m = 2 * p + 1 - es[2] - es[3]
-        for r in rows:
-            if r["node"].startswith("*") and "-" not in r["node"]:
-                r["reduction"] = "bad" if int(r["node"][1:]) == bad_m else "good"
+        for r, row in zip(taxonomy, rows):
+            if r.node.kind == "single":
+                row["reduction"] = "bad" if r.node.m == bad_m else "good"
             else:
-                r["reduction"] = "see census"
+                row["reduction"] = "see census"
         good, bad = admissible_reduction_census(p, *es)
         rows.append(
             {
@@ -356,7 +357,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the acceptance suite")
     p.add_argument("--criteria", default=None, help="comma-separated subset, e.g. 1,4,8")
     p.add_argument("--slow", action="store_true", help="include the slow M_23 census")
-    add_common(p)
     p.set_defaults(fn=cmd_verify)
 
     return parser

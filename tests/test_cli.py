@@ -125,6 +125,12 @@ def test_verify_subset():
     assert all("PASS" in l for l in lines)
 
 
+def test_verify_rejects_format():
+    with pytest.raises(SystemExit) as exc:
+        run_cli("verify", "--criteria", "2", "--format", "json")
+    assert exc.value.code == 2
+
+
 def test_hurwitz_list_emits_json_lines():
     code, out, _ = run_cli("hurwitz", "5:2,2,4,4", "--list")
     assert code == 0

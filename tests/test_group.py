@@ -4,7 +4,10 @@ from collections import Counter
 from importlib import resources
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from purecycle import group
 from purecycle.errors import BoundExceededError, InvalidTypeError
 from purecycle.group import (
     GroupReport,
@@ -15,7 +18,6 @@ from purecycle.group import (
     is_transitive,
     load_generators,
 )
-from purecycle.group import _census_batched
 from purecycle.perm import (
     CycleType,
     cycle_lengths,
@@ -141,11 +143,52 @@ def test_m11_census_has_no_single_short_cycle():
     assert CycleType(11, (11,)) in census  # the 11-cycles are there
 
 
-def test_batched_census_agrees_with_direct():
-    degree, gens = load_generators(data_file("m11.txt"))
-    chain = StabilizerChain(gens, degree)
-    direct = Counter(cycle_lengths(g) for g in chain.elements())
-    assert _census_batched(chain) == direct
+def direct_census(gens):
+    """Reference census: cycle_lengths of every element, one at a time."""
+    chain = StabilizerChain(gens, len(gens[0]))
+    return Counter(cycle_lengths(g) for g in chain.elements())
+
+
+def census_lengths(gens):
+    census = cycle_type_census(gens, cap=10**5)
+    return Counter({ct.lengths: n for ct, n in census.items()})
+
+
+CENSUS_GROUPS = {
+    "trivial": [identity(4)],
+    **{f"S{d}": s_n_gens(d) for d in range(3, 8)},
+    "A5": [parse_cycles(5, "(1,2,3)"), parse_cycles(5, "(3,4,5)")],
+    # degree 40: a row of 40 fixed-point counts overflows a mixed-radix int64
+    "C40": [tuple(list(range(1, 40)) + [0])],
+    "M11": load_generators(data_file("m11.txt"))[1],
+    "PGammaL2_16": load_generators(data_file("pgammal2_16.txt"))[1],
+}
+
+
+@pytest.mark.parametrize("name", list(CENSUS_GROUPS))
+def test_census_agrees_with_direct(name):
+    gens = CENSUS_GROUPS[name]
+    assert census_lengths(gens) == direct_census(gens)
+
+
+def test_census_agrees_with_direct_across_chunks(monkeypatch):
+    # M_11 then runs as 990 chunks of 8 elements each
+    monkeypatch.setattr(group, "_CENSUS_CHUNK", 64)
+    gens = CENSUS_GROUPS["M11"]
+    assert census_lengths(gens) == direct_census(gens)
+
+
+@st.composite
+def two_generator_groups(draw):
+    n = draw(st.integers(1, 7))
+    return [tuple(draw(st.permutations(range(n)))) for _ in range(2)]
+
+
+@settings(max_examples=50, deadline=None)
+@given(two_generator_groups())
+def test_census_matches_closure_on_random_groups(gens):
+    closure = element_closure(gens, cap=5040)
+    assert census_lengths(gens) == Counter(cycle_lengths(g) for g in closure)
 
 
 @pytest.mark.slow
