@@ -178,7 +178,7 @@ def cmd_admissible(args, cfg: RunConfig, out) -> int:
         }
         for r in taxonomy
     ]
-    if args.char:
+    if args.char is not None:
         p = args.char
         if t.degree != p:
             raise InvalidTypeError("reduction census needs degree equal to the characteristic")
@@ -268,6 +268,8 @@ def cmd_tails(args, cfg: RunConfig, out) -> int:
 
 
 def cmd_group(args, cfg: RunConfig, out) -> int:
+    if args.census_cap < 1:
+        raise InvalidTypeError("census cap must be positive")
     degree, gens = load_generators(args.file)
     report = group_analyze(gens, order_cap=cfg.order_cap)
     rows = [
@@ -293,6 +295,10 @@ def cmd_verify(args, cfg: RunConfig, out) -> int:
     numbers = (
         tuple(int(v) for v in args.criteria.split(",")) if args.criteria else None
     )
+    unknown = sorted(set(numbers or ()) - {n for n, _ in acceptance.CRITERIA})
+    if unknown:
+        listed = ",".join(str(n) for n in unknown)
+        raise InvalidTypeError(f"no criterion {listed}; criteria are 1..11")
     results = acceptance.run_all(
         numbers=numbers, slow=cfg.slow, echo=lambda line: out.write(line + "\n")
     )

@@ -5,11 +5,12 @@ r ordered branch points.  Its Hurwitz number is the number of tuples
 (g_1, ..., g_r) with g_i in C_i, left-to-right product the identity and
 transitive generated group, counted up to uniform conjugacy by S_d.
 
-The enumerator anchors g_r at the canonical class representative, iterates the
-middle classes (vectorized over the largest one), solves g_1 from the product
-identity, and deduplicates by the lexicographically least tuple over the
-anchor's centralizer.  Every returned representative is in that canonical
-form, and the list is sorted, so output is deterministic.
+One enumerator serves every r >= 3.  It anchors g_r at the canonical class
+representative, vectorizes over the first-largest middle class, loops over the
+other middle classes, solves g_1 from the product identity, and deduplicates by
+the lexicographically least tuple over the anchor's centralizer.  Every
+returned representative is in that canonical form, and the list is sorted, so
+output is deterministic.
 
 Closed formulas are provided for genus-0 pure-cycle types with three or four
 branch points (rigidity and the min e_i(d+1-e_i) count) and for types with a
@@ -33,7 +34,6 @@ from .perm import (
     Perm,
     all_of_type,
     centralizer_elements,
-    compose,
     compose_all,
     conjugate,
     cycle_lengths,
@@ -68,7 +68,7 @@ class RamificationType:
 
     @classmethod
     def parse(cls, text: str) -> "RamificationType":
-        """Parse the compact grammar ``d:e1,e2,e3[,e4]`` / ``d:e1-e2,e3,e4``."""
+        """Parse the compact grammar ``d:e1,...,er`` (r >= 3) / ``d:e1-e2,e3,e4``."""
         head, sep, rest = text.partition(":")
         if not sep:
             raise InvalidTypeError(f"expected 'd:classes', got {text!r}")
@@ -324,68 +324,39 @@ def canonical_form(f: HurwitzFactorization) -> HurwitzFactorization:
     return HurwitzFactorization(f.degree, _canonical_anchored(anchored, centralizer))
 
 
-def _search_r3(
-    d: int, classes: tuple[CycleType, ...], anchor: Perm
-) -> Iterator[tuple[Perm, ...]]:
-    target = classes[0].lengths
-    moved = classes[0].moved
-    rows = np.array(list(all_of_type(classes[1])), dtype=np.int16)
-    prod = rows[:, anchor]  # row k is g2 o anchor
-    counts = d - (prod == np.arange(d, dtype=np.int16)).sum(axis=1)
-    for k in np.nonzero(counts == moved)[0]:
-        w = tuple(int(v) for v in prod[k])
-        if cycle_lengths(w) != target:
-            continue
-        g2 = tuple(int(v) for v in rows[k])
-        if not is_transitive((g2, anchor), d):
-            continue
-        yield (inverse(w), g2, anchor)
-
-
-def _search_r4(
-    d: int, classes: tuple[CycleType, ...], anchor: Perm
-) -> Iterator[tuple[Perm, ...]]:
-    target = classes[0].lengths
-    moved = classes[0].moved
-    idx = np.arange(d, dtype=np.int16)
-    # vectorize over the larger middle class, python-loop over the smaller
-    vectorize_c2 = classes[1].class_size() >= classes[2].class_size()
-    vec_class, loop_class = (
-        (classes[1], classes[2]) if vectorize_c2 else (classes[2], classes[1])
-    )
-    rows = np.array(list(all_of_type(vec_class)), dtype=np.int16)
-    if not vectorize_c2:
-        rows_after_anchor = rows[:, anchor]  # row k is g3 o anchor
-    for s in all_of_type(loop_class):
-        if vectorize_c2:
-            u = compose(s, anchor)
-            prod = rows[:, u]  # row k is g2 o s o anchor
-        else:
-            prod = np.asarray(s, dtype=np.int16)[rows_after_anchor]
-        counts = d - (prod == idx).sum(axis=1)
-        for k in np.nonzero(counts == moved)[0]:
-            w = tuple(int(v) for v in prod[k])
-            if cycle_lengths(w) != target:
-                continue
-            other = tuple(int(v) for v in rows[k])
-            g2, g3 = (other, s) if vectorize_c2 else (s, other)
-            if not is_transitive((g2, g3, anchor), d):
-                continue
-            yield (inverse(w), g2, g3, anchor)
-
-
 def _search_generic(
     d: int, classes: tuple[CycleType, ...], anchor: Perm
 ) -> Iterator[tuple[Perm, ...]]:
+    """Raw tuples (g_1, ..., g_r) with g_r = anchor, for any r >= 3: g_2 ... g_r
+    is L V R, with V the rows of the vectorized class, L the product of the
+    looped entries left of it and R of those right of it, anchor included."""
     target = classes[0].lengths
-    middles = [list(all_of_type(cl)) for cl in classes[1:-1]]
-    for combo in itertools.product(*middles):
-        w = compose_all(combo + (anchor,), d)
-        if cycle_lengths(w) != target:
-            continue
-        if not is_transitive(combo + (anchor,), d):
-            continue
-        yield (inverse(w),) + combo + (anchor,)
+    moved = classes[0].moved
+    idx = np.arange(d, dtype=np.int16)
+    middle = classes[1:-1]
+    at = max(range(len(middle)), key=lambda i: middle[i].class_size())
+    rows = np.array(list(all_of_type(middle[at])), dtype=np.int16)
+    lefts = [list(all_of_type(cl)) for cl in middle[:at]]
+    rights = [list(all_of_type(cl)) for cl in middle[at + 1:]]
+    for right in itertools.product(*rights):
+        after = rows[:, compose_all(right + (anchor,), d)]  # row k is V o R
+        for left in itertools.product(*lefts):
+            prod = after  # row k is L o V o R = g_2 ... g_r
+            if left:
+                prod = np.asarray(compose_all(left, d), dtype=np.int16)[after]
+            counts = d - (prod == idx).sum(axis=1)
+            for k in np.nonzero(counts == moved)[0]:
+                w = tuple(int(x) for x in prod[k])
+                if cycle_lengths(w) != target:
+                    continue
+                tup = left + (tuple(int(x) for x in rows[k]),) + right + (anchor,)
+                if not is_transitive(tup, d):
+                    continue
+                yield (inverse(w),) + tup
+
+
+# kept only because perfbench/tracer.py still resolves these two names
+_search_r3 = _search_r4 = _search_generic
 
 
 def enumerate_factorizations(
@@ -401,21 +372,12 @@ def enumerate_factorizations(
             f"degree {t.degree} exceeds enumeration bound {max_degree}"
         )
     d = t.degree
-    parity = 1
-    for cl in t.classes:
-        parity *= cl.parity
-    if parity != 1:
+    if sum(cl.parity < 0 for cl in t.classes) % 2:
         return []  # no product of these classes is even, let alone the identity
 
     anchor = t.classes[-1].canonical_representative()
     centralizer = centralizer_elements(anchor)
-    if len(t.classes) == 3:
-        raw = _search_r3(d, t.classes, anchor)
-    elif len(t.classes) == 4:
-        raw = _search_r4(d, t.classes, anchor)
-    else:
-        raw = _search_generic(d, t.classes, anchor)
-
+    raw = _search_generic(d, t.classes, anchor)
     seen = {_canonical_anchored(tup, centralizer) for tup in raw}
     return [HurwitzFactorization(d, tup) for tup in sorted(seen)]
 

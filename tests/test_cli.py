@@ -76,6 +76,13 @@ def test_admissible_with_census():
     assert "TOTAL" in out and "bad" in out
 
 
+def test_admissible_char_zero_is_rejected():
+    code, out, err = run_cli("admissible", "5:2,2,4,4", "--char", "0")
+    assert code == 2
+    assert out == ""
+    assert "characteristic" in err
+
+
 def test_tails():
     code, out, _ = run_cli("tails", "7", "3-3")
     assert code == 0
@@ -87,6 +94,15 @@ def test_group_report():
     code, out, _ = run_cli("group", str(path))
     assert code == 0
     assert out.splitlines()[1].split() == ["11", "7920", "true", "other"]
+
+
+@pytest.mark.parametrize("cap", ["0", "-5"])
+def test_group_rejects_census_cap_below_one(cap):
+    path = resources.files("purecycle").joinpath("data", "m11.txt")
+    code, out, err = run_cli("group", str(path), "--census", "--census-cap", cap)
+    assert code == 2
+    assert out == ""
+    assert err == "error: census cap must be positive\n"
 
 
 def test_json_output_roundtrips():
@@ -129,6 +145,13 @@ def test_verify_rejects_format():
     with pytest.raises(SystemExit) as exc:
         run_cli("verify", "--criteria", "2", "--format", "json")
     assert exc.value.code == 2
+
+
+def test_verify_rejects_unknown_criteria():
+    code, out, err = run_cli("verify", "--criteria", "2,99,0")
+    assert code == 2
+    assert out == ""
+    assert err == "error: no criterion 0,99; criteria are 1..11\n"
 
 
 def test_hurwitz_list_emits_json_lines():

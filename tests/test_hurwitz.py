@@ -236,11 +236,28 @@ def test_enumeration_with_pair_class_anchored_last():
     assert hurwitz_number_brute(t) == reference_hurwitz_count(t) == 2
 
 
-def test_enumeration_generic_path_five_branch_points():
-    t = RamificationType.pure(4, (2, 2, 2, 2, 3))
-    assert hurwitz_number_brute(t) == reference_hurwitz_count(t) == 27
-    t = RamificationType.pure(5, (2, 2, 2, 3, 4))
-    assert hurwitz_number_brute(t) == reference_hurwitz_count(t) == 48
+@pytest.mark.parametrize(
+    "text, count",
+    [
+        ("5:2,4,5", 1),  # r = 3: the only middle class is vectorized
+        ("6:4,2-2,6", 2),
+        ("6:2,5,3,4", 10),  # r = 4: the larger class first
+        ("6:2,3,5,4", 10),  # the larger class second
+        ("6:3,4,4,3", 12),  # a tie
+        ("5:2,3,2,2,4", 48),  # r = 5: the largest class first, middle, last
+        ("5:2,2,3,2,4", 48),
+        ("5:2,2,2,3,4", 48),
+        ("4:2,2,2,2,3", 27),  # all tied
+        ("4:2,2,2,2,2,2", 120),  # r = 6, all tied
+    ],
+)
+def test_enumeration_matches_reference_for_each_vectorized_class(text, count):
+    t = RamificationType.parse(text)
+    reps = enumerate_factorizations(t)
+    assert len(reps) == reference_hurwitz_count(t) == count
+    for f in reps:
+        assert canonical_form(f) == f
+        assert [cycle_lengths(g) for g in f.perms] == [c.lengths for c in t.classes]
 
 
 @pytest.mark.slow
