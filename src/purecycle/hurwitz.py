@@ -5,10 +5,16 @@ r ordered branch points.  Its Hurwitz number is the number of tuples
 (g_1, ..., g_r) with g_i in C_i, left-to-right product the identity and
 transitive generated group, counted up to uniform conjugacy by S_d.
 
-One enumerator serves every r >= 3.  It anchors g_r at the canonical class
-representative, vectorizes over the first-largest middle class, loops over the
-other middle classes, solves g_1 from the product identity, and deduplicates by
-the lexicographically least tuple over the anchor's centralizer.  Every
+One enumerator serves every r >= 3.  It searches the classes in a cheaper
+order: the largest class last, anchored at its canonical representative, the
+next largest first, solved from the product identity, and the rest between in
+type order (on a tie in size the anchor is the latest such class and the solved
+one the earliest).  It vectorizes over the first-largest middle class, loops
+over the other middle classes, and deduplicates by the lexicographically least
+tuple over the anchor's centralizer.  If the order moved, each representative
+is carried back to the type's class order by the Hurwitz moves
+(a, b) -> (a b a^-1, a), which keep the product and the generated group and
+commute with uniform conjugation, and is then put in canonical form.  Every
 returned representative is in that canonical form, and the list is sorted, so
 output is deterministic.
 
@@ -324,6 +330,30 @@ def canonical_form(f: HurwitzFactorization) -> HurwitzFactorization:
     return HurwitzFactorization(f.degree, _canonical_anchored(anchored, centralizer))
 
 
+def _search_order(classes: tuple[CycleType, ...]) -> tuple[int, ...]:
+    """Type positions in search order: the largest class last (the latest on
+    a tie), the next largest first (the earliest on a tie), the rest between
+    in type order.  The search then loops over the smallest classes."""
+    sizes = [cl.class_size() for cl in classes]
+    anchor = max(reversed(range(len(sizes))), key=sizes.__getitem__)
+    rest = [i for i in range(len(sizes)) if i != anchor]
+    solved = max(rest, key=sizes.__getitem__)
+    return (solved, *(i for i in rest if i != solved), anchor)
+
+
+def _to_type_order(perms: tuple[Perm, ...], order: Sequence[int]) -> tuple[Perm, ...]:
+    """Carry a tuple whose entry j lies in the type's class order[j] back to
+    type order, bubbling adjacent entries past each other by the Hurwitz move
+    (a, b) -> (a b a^-1, a)."""
+    perms, order = list(perms), list(order)
+    for end in range(len(order) - 1, 0, -1):
+        for j in range(end):
+            if order[j] > order[j + 1]:
+                perms[j], perms[j + 1] = conjugate(perms[j], perms[j + 1]), perms[j]
+                order[j], order[j + 1] = order[j + 1], order[j]
+    return tuple(perms)
+
+
 def _search_generic(
     d: int, classes: tuple[CycleType, ...], anchor: Perm
 ) -> Iterator[tuple[Perm, ...]]:
@@ -375,10 +405,17 @@ def enumerate_factorizations(
     if sum(cl.parity < 0 for cl in t.classes) % 2:
         return []  # no product of these classes is even, let alone the identity
 
-    anchor = t.classes[-1].canonical_representative()
+    order = _search_order(t.classes)
+    classes = tuple(t.classes[i] for i in order)
+    anchor = classes[-1].canonical_representative()
     centralizer = centralizer_elements(anchor)
-    raw = _search_generic(d, t.classes, anchor)
+    raw = _search_generic(d, classes, anchor)
     seen = {_canonical_anchored(tup, centralizer) for tup in raw}
+    if order != tuple(sorted(order)):
+        seen = {
+            canonical_form(HurwitzFactorization(d, _to_type_order(tup, order))).perms
+            for tup in seen
+        }
     return [HurwitzFactorization(d, tup) for tup in sorted(seen)]
 
 

@@ -2,15 +2,15 @@
 Hurwitz counts (full class product, orbit dedup under all of S_d)."""
 from __future__ import annotations
 
-import itertools
+from operator import itemgetter
 
 from purecycle.hurwitz import RamificationType
 from purecycle.perm import (
     all_of_type,
-    compose_all,
+    compose,
     conjugate,
-    cycle_lengths,
     from_cycles,
+    identity,
     inverse,
 )
 
@@ -28,20 +28,28 @@ def _transitive(perms, degree) -> bool:
 
 
 def reference_hurwitz_count(t: RamificationType) -> int:
-    """Independent oracle: iterate the full product of classes 2..r (solving
-    the first entry), then partition survivors into conjugation orbits under
-    S_d generated by a transposition and a full cycle.  No anchoring, no
-    centralizer bookkeeping; usable for small degrees only.
+    """Independent oracle: iterate the full product of classes 2..r, each
+    product carried down from its prefix one class at a time (solving the first
+    entry), then partition survivors into conjugation orbits under S_d
+    generated by a transposition and a full cycle.  No pruning, no anchoring,
+    no centralizer bookkeeping; usable for small degrees only.
     """
     d = t.degree
+    *inner, last = [list(all_of_type(c)) for c in t.classes[1:]]
+    # (g_2 ... g_k, their product) pairs, extended one class at a time
+    prefixes = [((), identity(d))]
+    for elems in inner:
+        prefixes = [(combo + (g,), compose(prod, g)) for combo, prod in prefixes for g in elems]
+    times_last = [(g, itemgetter(*g)) for g in last]  # itemgetter(*g)(p) is p g
+    first = set(all_of_type(t.classes[0]))  # closed under inverses
     survivors = set()
-    for combo in itertools.product(*(list(all_of_type(c)) for c in t.classes[1:])):
-        g1 = inverse(compose_all(combo, d))
-        if cycle_lengths(g1) != t.classes[0].lengths:
-            continue
-        tup = (g1,) + combo
-        if _transitive(tup, d):
-            survivors.add(tup)
+    for combo, prefix in prefixes:
+        for g, times_g in times_last:
+            prod = times_g(prefix)  # g_2 ... g_r, the inverse of g_1
+            if prod in first:
+                tup = (inverse(prod),) + combo + (g,)
+                if _transitive(tup, d):
+                    survivors.add(tup)
     gens = [from_cycles(d, [[0, 1]]), tuple(list(range(1, d)) + [0])]
     count = 0
     remaining = set(survivors)

@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 
@@ -5,7 +6,7 @@ import pytest
 
 from conftest import reference_hurwitz_count
 from purecycle.errors import BoundExceededError, InvalidTypeError
-from purecycle.group import group_analyze
+from purecycle.group import group_analyze, is_transitive
 from purecycle.hurwitz import (
     AFFINE_FP,
     HurwitzFactorization,
@@ -22,8 +23,18 @@ from purecycle.hurwitz import (
     hurwitz_number_brute,
     monodromy_classify,
     symmetric,
+    _search_generic,
+    _search_order,
+    _to_type_order,
 )
-from purecycle.perm import CycleType, conjugate, cycle_lengths, random_perm
+from purecycle.perm import (
+    CycleType,
+    compose_all,
+    conjugate,
+    cycle_lengths,
+    identity,
+    random_perm,
+)
 
 
 def pair_type(d, e1, e2, e3, e4):
@@ -236,28 +247,89 @@ def test_enumeration_with_pair_class_anchored_last():
     assert hurwitz_number_brute(t) == reference_hurwitz_count(t) == 2
 
 
+def _case(text, count, order):
+    return pytest.param(text, count, order, id=f"{text}-{count}")
+
+
 @pytest.mark.parametrize(
-    "text, count",
+    "text, count, order",
     [
-        ("5:2,4,5", 1),  # r = 3: the only middle class is vectorized
-        ("6:4,2-2,6", 2),
-        ("6:2,5,3,4", 10),  # r = 4: the larger class first
-        ("6:2,3,5,4", 10),  # the larger class second
-        ("6:3,4,4,3", 12),  # a tie
-        ("5:2,3,2,2,4", 48),  # r = 5: the largest class first, middle, last
-        ("5:2,2,3,2,4", 48),
-        ("5:2,2,2,3,4", 48),
-        ("4:2,2,2,2,3", 27),  # all tied
-        ("4:2,2,2,2,2,2", 120),  # r = 6, all tied
+        # r = 3: the only middle class is vectorized
+        _case("5:2,4,5", 1, (2, 0, 1)),  # searched as 5:5,2,4
+        _case("6:4,2-2,6", 2, (0, 1, 2)),
+        # r = 4, searched with the 5-cycle anchored and the 4-cycle solved
+        _case("6:2,5,3,4", 10, (3, 0, 2, 1)),
+        _case("6:2,3,5,4", 10, (3, 0, 1, 2)),
+        # r = 4, ties: the later 4-cycle is anchored, the earlier one solved
+        _case("6:3,4,4,3", 12, (1, 0, 3, 2)),
+        # r = 5, searched with the 3-cycle solved and 2-cycles in the middle
+        _case("5:2,3,2,2,4", 48, (1, 0, 2, 3, 4)),
+        _case("5:2,2,3,2,4", 48, (2, 0, 1, 3, 4)),
+        _case("5:2,2,2,3,4", 48, (3, 0, 1, 2, 4)),
+        # r = 5 in type order: the vectorized 3-cycle at middle position 0, 1, 2
+        _case("5:3,3,2,2,3", 55, (0, 1, 2, 3, 4)),
+        _case("5:3,2,3,2,3", 55, (0, 1, 2, 3, 4)),
+        _case("5:3,2,2,3,3", 55, (0, 1, 2, 3, 4)),
+        _case("4:2,2,2,2,3", 27, (0, 1, 2, 3, 4)),  # middle classes all tied
+        _case("4:2,2,2,2,2,2", 120, (0, 1, 2, 3, 4, 5)),  # r = 6, all tied
     ],
 )
-def test_enumeration_matches_reference_for_each_vectorized_class(text, count):
+def test_enumeration_matches_reference_for_each_vectorized_class(text, count, order):
     t = RamificationType.parse(text)
+    assert _search_order(t.classes) == order
     reps = enumerate_factorizations(t)
     assert len(reps) == reference_hurwitz_count(t) == count
     for f in reps:
         assert canonical_form(f) == f
         assert [cycle_lengths(g) for g in f.perms] == [c.lengths for c in t.classes]
+
+
+@pytest.mark.parametrize(
+    "text, count",
+    [
+        ("6:2,3,4,5", hurwitz_formula_pure4(6, (2, 3, 4, 5))),  # 10
+        ("6:2-2,4,6", hurwitz_formula_badtype(6, 2, 2, 4, 6)),  # 2
+    ],
+)
+def test_every_class_order_gives_the_same_count(text, count):
+    d, _, classes = text.partition(":")
+    for order in itertools.permutations(classes.split(",")):
+        t = RamificationType.parse(f"{d}:" + ",".join(order))
+        reps = enumerate_factorizations(t)
+        assert len(reps) == count, str(t)
+        for f in reps:
+            assert canonical_form(f) == f
+            assert [cycle_lengths(g) for g in f.perms] == [c.lengths for c in t.classes]
+
+
+@pytest.mark.parametrize("text", ["6:2,5,3,4", "6:3,4,4,3", "8:2-6,8,2", "5:2,2,2,3,4"])
+def test_to_type_order_keeps_product_transitivity_and_conjugation(text):
+    t = RamificationType.parse(text)
+    d = t.degree
+    order = _search_order(t.classes)
+    assert order != tuple(range(len(order)))
+    classes = tuple(t.classes[i] for i in order)
+    raw = _search_generic(d, classes, classes[-1].canonical_representative())
+    rng = random.Random(5)
+    for tup in itertools.islice(raw, 6):
+        back = _to_type_order(tup, order)
+        assert compose_all(back, d) == identity(d)
+        assert is_transitive(back, d)
+        assert [cycle_lengths(g) for g in back] == [c.lengths for c in t.classes]
+        s = random_perm(rng, d)
+        moved = tuple(conjugate(s, g) for g in tup)
+        assert _to_type_order(moved, order) == tuple(conjugate(s, g) for g in back)
+
+
+def test_enumeration_with_a_large_centralizer_last():
+    # a 2-cycle last has a centralizer of order 1440 in S_8; the search
+    # anchors the largest class instead and maps the results back
+    assert hurwitz_number_brute(RamificationType.parse("8:2-6,8,2")) == (
+        hurwitz_formula_badtype(8, 2, 6, 2, 8)
+    )
+    assert hurwitz_number_brute(RamificationType.parse("8:2,7,7,2")) == (
+        hurwitz_formula_pure4(8, (2, 7, 7, 2))
+    )
 
 
 @pytest.mark.slow
