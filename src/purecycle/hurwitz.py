@@ -9,10 +9,15 @@ One enumerator serves every r >= 3.  It searches the classes in a cheaper
 order: the largest class last, anchored at its canonical representative, the
 next largest first, solved from the product identity, and the rest between in
 type order (on a tie in size the anchor is the latest such class and the solved
-one the earliest).  It vectorizes over the first-largest middle class, loops
-over the other middle classes, and deduplicates by the lexicographically least
-tuple over the anchor's centralizer.  If the order moved, each representative
-is carried back to the type's class order by the Hurwitz moves
+one the earliest).  It vectorizes over the first-largest middle class and loops
+over the other middle classes.  Each numpy batch is filtered three times: by
+the number of points the solved entry moves, by its cycle type, read off the
+fixed-point counts of its powers, and by transitivity, tested by min-label
+propagation; only the rows that pass all three become tuples.  The raw tuples
+are closed under conjugation by the anchor's centralizer, so deduplication
+sweeps orbits: a tuple not seen before marks its whole orbit seen and keeps
+the orbit's lexicographically least tuple.  If the order moved, each
+representative is carried back to the type's class order by the Hurwitz moves
 (a, b) -> (a b a^-1, a), which keep the product and the generated group and
 commute with uniform conjugation, and is then put in canonical form.  Every
 returned representative is in that canonical form, and the list is sorted, so
@@ -42,7 +47,6 @@ from .perm import (
     centralizer_elements,
     compose_all,
     conjugate,
-    cycle_lengths,
     cycles,
     from_cycles,
     identity,
@@ -354,13 +358,68 @@ def _to_type_order(perms: tuple[Perm, ...], order: Sequence[int]) -> tuple[Perm,
     return tuple(perms)
 
 
+def _flat(rows: np.ndarray) -> np.ndarray:
+    """A batch of n permutations of degree d as one permutation of n*d
+    positions, row i's point x at position i*d + x, so that composing and
+    following labels need only one-dimensional indexing."""
+    n, d = rows.shape
+    return (rows + np.arange(0, n * d, d)[:, None]).ravel()
+
+
+def _cycle_type_mask(words: np.ndarray, target: CycleType) -> np.ndarray:
+    """Mask of the rows of words (permutations in word form) of class target.
+
+    fix(w^k) is the number of fixed points plus the lengths l dividing k.  For
+    k = 1..m, with m the longest target length, these counts fix how many
+    l-cycles w has for every l <= m; the target's cycles of length <= m cover
+    all the points, so a match leaves no room for a longer cycle.
+    """
+    n, d = words.shape
+    top = max(target.lengths, default=1)
+    expected = [
+        d - target.moved + sum(l for l in target.lengths if k % l == 0)
+        for k in range(1, top + 1)
+    ]
+    step = _flat(words)
+    here = np.arange(n * d)
+    fixed = np.empty((top, n * d), dtype=bool)
+    power = step
+    for k in range(top):
+        if k:
+            power = step[power]  # w^(k+1) = w o w^k
+        np.equal(power, here, out=fixed[k])
+    counts = fixed.reshape(top, n, d).sum(axis=2)
+    return (counts == np.array(expected)[:, None]).all(axis=0)
+
+
+def _transitive_mask(shared: Sequence[Perm], rows: np.ndarray) -> np.ndarray:
+    """Mask of the rows v for which <shared, v> is transitive.
+
+    Min-label propagation: each point carries the least point known to lie in
+    its orbit, lowered along every generator and through its label's own label
+    until nothing moves.  The labels then are the orbit minima, so the group is
+    transitive exactly when every label is the row's point 0.
+    """
+    n, d = rows.shape
+    gens = [_flat(rows)] + [_flat(np.broadcast_to(g, rows.shape)) for g in shared]
+    labels = np.arange(n * d)
+    while True:
+        new = labels.copy()
+        for g in gens:
+            np.minimum(new, new[g], out=new)
+        new = new[new]
+        if (new == labels).all():
+            starts = np.arange(0, n * d, d)[:, None]
+            return (labels.reshape(n, d) == starts).all(axis=1)
+        labels = new
+
+
 def _search_generic(
     d: int, classes: tuple[CycleType, ...], anchor: Perm
 ) -> Iterator[tuple[Perm, ...]]:
     """Raw tuples (g_1, ..., g_r) with g_r = anchor, for any r >= 3: g_2 ... g_r
     is L V R, with V the rows of the vectorized class, L the product of the
     looped entries left of it and R of those right of it, anchor included."""
-    target = classes[0].lengths
     moved = classes[0].moved
     idx = np.arange(d, dtype=np.int16)
     middle = classes[1:-1]
@@ -375,18 +434,35 @@ def _search_generic(
             if left:
                 prod = np.asarray(compose_all(left, d), dtype=np.int16)[after]
             counts = d - (prod == idx).sum(axis=1)
-            for k in np.nonzero(counts == moved)[0]:
-                w = tuple(int(x) for x in prod[k])
-                if cycle_lengths(w) != target:
-                    continue
-                tup = left + (tuple(int(x) for x in rows[k]),) + right + (anchor,)
-                if not is_transitive(tup, d):
-                    continue
-                yield (inverse(w),) + tup
+            hits = np.nonzero(counts == moved)[0]
+            if hits.size:
+                hits = hits[_cycle_type_mask(prod[hits], classes[0])]
+            if hits.size:
+                # g_1 is the inverse of the others' product, so it adds nothing
+                hits = hits[_transitive_mask(left + right + (anchor,), rows[hits])]
+            for w, v in zip(prod[hits].tolist(), rows[hits].tolist()):
+                yield (inverse(w),) + left + (tuple(v),) + right + (anchor,)
 
 
 # kept only because perfbench/tracer.py still resolves these two names
 _search_r3 = _search_r4 = _search_generic
+
+
+def _orbit_minima(
+    raw: Iterable[tuple[Perm, ...]], centralizer: Sequence[Perm]
+) -> set[tuple[Perm, ...]]:
+    """{_canonical_anchored(t, centralizer) for t in raw} for a raw set that is
+    closed under conjugation by centralizer.  A tuple not seen before marks its
+    whole orbit seen and keeps the orbit's minimum, so the conjugations are one
+    orbit per class, not per raw tuple."""
+    seen: set[tuple[Perm, ...]] = set()
+    minima = set()
+    for tup in raw:
+        if tup not in seen:
+            orbit = {_conjugate_tuple(z, tup) for z in centralizer}
+            seen |= orbit
+            minima.add(min(orbit))
+    return minima
 
 
 def enumerate_factorizations(
@@ -408,9 +484,8 @@ def enumerate_factorizations(
     order = _search_order(t.classes)
     classes = tuple(t.classes[i] for i in order)
     anchor = classes[-1].canonical_representative()
-    centralizer = centralizer_elements(anchor)
     raw = _search_generic(d, classes, anchor)
-    seen = {_canonical_anchored(tup, centralizer) for tup in raw}
+    seen = _orbit_minima(raw, centralizer_elements(anchor))
     if order != tuple(sorted(order)):
         seen = {
             canonical_form(HurwitzFactorization(d, _to_type_order(tup, order))).perms

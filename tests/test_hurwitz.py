@@ -1,8 +1,13 @@
+import functools
+import hashlib
 import itertools
 import json
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import reference_hurwitz_count
 from purecycle.errors import BoundExceededError, InvalidTypeError
@@ -23,12 +28,17 @@ from purecycle.hurwitz import (
     hurwitz_number_brute,
     monodromy_classify,
     symmetric,
+    _canonical_anchored,
+    _cycle_type_mask,
+    _orbit_minima,
     _search_generic,
     _search_order,
     _to_type_order,
+    _transitive_mask,
 )
 from purecycle.perm import (
     CycleType,
+    centralizer_elements,
     compose_all,
     conjugate,
     cycle_lengths,
@@ -330,6 +340,148 @@ def test_enumeration_with_a_large_centralizer_last():
     assert hurwitz_number_brute(RamificationType.parse("8:2,7,7,2")) == (
         hurwitz_formula_pure4(8, (2, 7, 7, 2))
     )
+
+
+# -- search filters and deduplication ------------------------------------------
+
+
+@st.composite
+def filter_batches(draw):
+    """(shared, rows, target) of degree 3-11.  Each permutation either keeps the
+    blocks {0..s-1} and {s..d-1} of a drawn split or is free, so some tuples
+    are intransitive; a drawn relabelling hides the split.  Some rows are
+    conjugates of the target class, a single cycle or a two-cycle class."""
+    d = draw(st.integers(3, 11))
+    split = draw(st.integers(1, d - 1))
+    relabel = draw(st.permutations(range(d)))
+    if draw(st.booleans()) or d < 4:
+        target = CycleType(d, (draw(st.integers(2, d)),))
+    else:
+        a = draw(st.integers(2, d - 2))
+        target = CycleType(d, (a, draw(st.integers(2, d - a))))
+
+    def perm():
+        kind = draw(st.sampled_from(("blocks", "free", "target")))
+        if kind == "blocks":
+            g = tuple(draw(st.permutations(range(split)))) + tuple(
+                draw(st.permutations(range(split, d))))
+        elif kind == "free":
+            g = tuple(draw(st.permutations(range(d))))
+        else:
+            g = conjugate(draw(st.permutations(range(d))), target.canonical_representative())
+        return conjugate(relabel, g)
+
+    shared = tuple(perm() for _ in range(draw(st.integers(0, 3))))
+    rows = [perm() for _ in range(draw(st.integers(1, 12)))]
+    return shared, rows, target
+
+
+@settings(max_examples=200, deadline=None)
+@given(filter_batches())
+def test_batch_filters_agree_with_per_row_checks(batch):
+    shared, rows, target = batch
+    d = target.degree
+    words = np.array(rows, dtype=np.int16)
+    assert _cycle_type_mask(words, target).tolist() == [
+        cycle_lengths(g) == target.lengths for g in rows
+    ]
+    assert _transitive_mask(shared, words).tolist() == [
+        is_transitive(shared + (g,), d) for g in rows
+    ]
+
+
+@pytest.mark.parametrize(
+    "text", ["5:2,2,4,4", "6:2-2,4,6", "8:2-6,8,2", "7:2,3,3,3,4", "5:2,2,2,3,4"]
+)
+def test_orbit_sweep_keeps_one_minimum_per_centralizer_orbit(text, monkeypatch):
+    # 6:2-2,4,6 has a self-paired class, whose orbit is smaller than the
+    # centralizer; 7:2,3,3,3,4 has negative genus, so its raw set is empty
+    t = RamificationType.parse(text)
+    classes = tuple(t.classes[i] for i in _search_order(t.classes))
+    anchor = classes[-1].canonical_representative()
+    centralizer = centralizer_elements(anchor)
+    raw = list(_search_generic(t.degree, classes, anchor))
+    assert len(set(raw)) == len(raw)
+    for z in centralizer:
+        assert {tuple(conjugate(z, g) for g in tup) for tup in raw} == set(raw)
+    expected = {_canonical_anchored(tup, centralizer) for tup in raw}
+
+    calls = 0
+
+    def counting_conjugate(s, g):
+        nonlocal calls
+        calls += 1
+        return conjugate(s, g)
+
+    monkeypatch.setattr("purecycle.hurwitz.conjugate", counting_conjugate)
+    assert _orbit_minima(raw, centralizer) == expected
+    # one conjugation of each of the r entries, by each z, per class
+    assert calls <= len(expected) * len(centralizer) * len(classes)
+
+
+def _pinned_types():
+    """Every genus-0 pure 3-point, pure 4-point and two-cycle type of degree
+    3 to 6 in every class order, and of degree 7 in sorted order."""
+    for d in range(3, 8):
+        shapes = [
+            list(map(str, es))
+            for r in (3, 4)
+            for es in itertools.combinations_with_replacement(range(2, d + 1), r)
+            if sum(es) == 2 * d + r - 2
+        ]
+        shapes += [
+            [f"{e1}-{e2}", str(e3), str(e4)]
+            for e1, e2 in itertools.combinations_with_replacement(range(2, d + 1), 2)
+            for e3, e4 in itertools.combinations_with_replacement(range(2, d + 1), 2)
+            if e1 + e2 <= d and e1 + e2 + e3 + e4 == 2 * d + 2
+        ]
+        for shape in shapes:
+            orders = sorted(set(itertools.permutations(shape))) if d <= 6 else [shape]
+            for order in orders:
+                yield RamificationType.parse(f"{d}:" + ",".join(order))
+
+
+def test_enumeration_output_is_pinned():
+    # any change of representative or of their order changes the digest
+    digest = hashlib.sha256()
+    types = list(_pinned_types())
+    for t in types:
+        digest.update(f"{t}\n".encode())
+        for f in enumerate_factorizations(t):
+            digest.update(f"{f.perms}\n".encode())
+    assert len(types) == 264
+    assert digest.hexdigest() == (
+        "75e4a701903268ad8ea29cea6265ce17489965f0bb2ad727217119b266d2b68f"
+    )
+
+
+@functools.cache
+def _enumerated(text):
+    return enumerate_factorizations(RamificationType.parse(text))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_canonical_form_is_idempotent_and_conjugation_invariant(data):
+    text = data.draw(st.sampled_from(("5:2,2,4,4", "6:2-2,4,6", "6:2,3,4,5", "7:3,3,5,5")))
+    f = data.draw(st.sampled_from(_enumerated(text)))
+    s = tuple(data.draw(st.permutations(range(f.degree))))
+    moved = HurwitzFactorization(f.degree, tuple(conjugate(s, g) for g in f.perms))
+    canon = canonical_form(moved)
+    assert canon == f
+    assert canonical_form(canon) == canon
+
+
+@pytest.mark.slow
+def test_pure4_formula_at_degree_ten():
+    types = [
+        es for es in itertools.combinations_with_replacement(range(2, 11), 4)
+        if sum(es) == 22
+    ]
+    assert len(types) == 31
+    for es in types:
+        t = RamificationType.pure(10, es)
+        assert hurwitz_number_brute(t) == hurwitz_formula_pure4(10, es), str(t)
 
 
 @pytest.mark.slow
