@@ -20,7 +20,8 @@ from .errors import InvalidTypeError
 from .hurwitz import (
     HurwitzFactorization,
     RamificationType,
-    canonical_form,
+    _anchor_centralizer,
+    _canonical_anchored,
     enumerate_factorizations,
     hurwitz_formula_pure4,
 )
@@ -100,12 +101,15 @@ def braid_orbits(
     """Partition of the factorizations of t into Q3-orbits.
 
     Orbits are keyed on canonical forms, so the partition is independent of
-    the representatives chosen; orbit lengths sum to the Hurwitz number.
+    the representatives chosen; orbit lengths sum to the Hurwitz number.  Q3
+    keeps g4, which every canonical form anchors at the canonical
+    representative of its class, so one centralizer canonicalizes every step.
     """
     if len(t.classes) != 4:
         raise InvalidTypeError("braid orbits are defined for 4-point types")
     reps = enumerate_factorizations(t, max_degree=max_degree)
     total = len(reps)
+    centralizer = _anchor_centralizer(t.classes[-1]) if reps else []
     seen: set[tuple[Perm, ...]] = set()
     orbits = []
     for f in reps:
@@ -118,7 +122,9 @@ def braid_orbits(
             if length > total:
                 raise AssertionError("braid orbit exceeded the factorization count")
             seen.add(g.perms)
-            g = canonical_form(braid_q3(g))
+            g = HurwitzFactorization(
+                f.degree, _canonical_anchored(braid_q3(g).perms, centralizer)
+            )
             if g.perms == f.perms:
                 break
         orbits.append(BraidOrbit(representative=f, length=length))

@@ -25,6 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Sequence
 
 from .arith import require_prime
@@ -117,7 +118,15 @@ def tail_invariants(p: int, tail_class: Sequence[int] | CycleType) -> TailInvari
     require_prime(p)
     if isinstance(tail_class, CycleType):
         tail_class = tail_class.lengths
-    lengths = tuple(sorted(tail_class))
+    return _tail_invariants(p, tuple(sorted(tail_class)))
+
+
+@lru_cache(maxsize=256)
+def _tail_invariants(p: int, lengths: tuple[int, ...]) -> TailInvariants:
+    """tail_invariants for sorted lengths.  A pure function of (p, lengths),
+    cached because signature sweeps ask for the same few single-cycle classes
+    again and again; the bound keeps a sweep over many pair classes from
+    growing the cache.  Invalid input raises and is not cached."""
     if len(lengths) == 1:
         (e,) = lengths
         if e == p:
@@ -148,18 +157,21 @@ def tail_aut_orders(p: int, e: int) -> AutOrders:
 
 
 def signature_check(p: int, classes: Sequence[Sequence[int]]) -> bool:
-    """Does sum(sigma_i) equal r-2 exactly (sigma = 0 for p-cycle classes)?"""
+    """Does sum(sigma_i) equal r-2 exactly (sigma = 0 for p-cycle classes)?
+
+    Compared in integers: sum h_i (L/m_i) against (r-2) L, L the lcm of the m_i.
+    """
     require_prime(p)
     r = len(classes)
     if r not in (3, 4):
         raise InvalidTypeError("signature identity applies to r in {3, 4}")
-    total = Fraction(0)
+    tails = []
     for cl in classes:
         lengths = tuple(cl.lengths if isinstance(cl, CycleType) else cl)
-        if lengths == (p,):
-            continue
-        total += tail_invariants(p, lengths).sigma
-    return total == r - 2
+        if lengths != (p,):
+            tails.append(tail_invariants(p, lengths))
+    lcm = math.lcm(*(ti.m for ti in tails))
+    return sum(ti.h * (lcm // ti.m) for ti in tails) == (r - 2) * lcm
 
 
 def wewers_lift_count(

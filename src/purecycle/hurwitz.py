@@ -10,16 +10,21 @@ order: the largest class last, anchored at its canonical representative, the
 next largest first, solved from the product identity, and the rest between in
 type order (on a tie in size the anchor is the latest such class and the solved
 one the earliest).  It vectorizes over the first-largest middle class and loops
-over the other middle classes.  Each numpy batch is filtered three times: by
+over the other middle classes, the first of them only over the least element of
+each orbit of the anchor's centralizer Z acting by conjugation.  That loses no
+class: conjugation by Z keeps the anchor, the product, the classes and
+transitivity, so the raw tuples are closed under Z, and the conjugate of a raw
+tuple that moves its first looped entry to that entry's orbit representative is
+a raw tuple the loop reaches.  Each numpy batch is filtered three times: by
 the number of points the solved entry moves, by its cycle type, read off the
 fixed-point counts of its powers, and by transitivity, tested by min-label
-propagation; only the rows that pass all three become tuples.  The raw tuples
-are closed under conjugation by the anchor's centralizer, so deduplication
-sweeps orbits: a tuple not seen before marks its whole orbit seen and keeps
+propagation; only the rows that pass all three become tuples.  Deduplication
+sweeps Z-orbits: a tuple not seen before marks its whole orbit seen and keeps
 the orbit's lexicographically least tuple.  If the order moved, each
 representative is carried back to the type's class order by the Hurwitz moves
 (a, b) -> (a b a^-1, a), which keep the product and the generated group and
-commute with uniform conjugation, and is then put in canonical form.  Every
+commute with uniform conjugation, and is then put in canonical form over the
+centralizer of the type's last class, computed once per type.  Every
 returned representative is in that canonical form, and the list is sorted, so
 output is deterministic.
 
@@ -297,10 +302,11 @@ def _conjugate_tuple(s: Perm, perms: tuple[Perm, ...]) -> tuple[Perm, ...]:
     return tuple(conjugate(s, g) for g in perms)
 
 
-def _transporter_to_canonical(g: Perm) -> Perm:
-    """Some s with s g s^{-1} the canonical representative of g's class."""
-    degree = len(g)
-    ordered = sorted(cycles(g), key=lambda cyc: (-len(cyc), cyc[0]))
+def _anchor_last(perms: tuple[Perm, ...]) -> tuple[Perm, ...]:
+    """A conjugate of perms whose last entry is the canonical representative
+    of its class."""
+    degree = len(perms[-1])
+    ordered = sorted(cycles(perms[-1]), key=lambda cyc: (-len(cyc), cyc[0]))
     images = [-1] * degree
     nxt = 0
     for cyc in ordered:
@@ -311,7 +317,7 @@ def _transporter_to_canonical(g: Perm) -> Perm:
         if images[p] < 0:
             images[p] = nxt
             nxt += 1
-    return tuple(images)
+    return _conjugate_tuple(tuple(images), perms)
 
 
 def _canonical_anchored(
@@ -321,6 +327,12 @@ def _canonical_anchored(
     return min(_conjugate_tuple(z, perms) for z in centralizer)
 
 
+def _anchor_centralizer(cl: CycleType) -> list[Perm]:
+    """Centralizer of cl's canonical representative, the last entry of every
+    canonical form of a type that ends in cl."""
+    return centralizer_elements(cl.canonical_representative())
+
+
 def canonical_form(f: HurwitzFactorization) -> HurwitzFactorization:
     """Canonical representative of f's uniform-conjugacy class.
 
@@ -328,8 +340,7 @@ def canonical_form(f: HurwitzFactorization) -> HurwitzFactorization:
     remaining freedom is that representative's centralizer, over which the
     lexicographic minimum of the image tuples is taken.
     """
-    mover = _transporter_to_canonical(f.perms[-1])
-    anchored = _conjugate_tuple(mover, f.perms)
+    anchored = _anchor_last(f.perms)
     centralizer = centralizer_elements(anchored[-1])
     return HurwitzFactorization(f.degree, _canonical_anchored(anchored, centralizer))
 
@@ -415,18 +426,25 @@ def _transitive_mask(shared: Sequence[Perm], rows: np.ndarray) -> np.ndarray:
 
 
 def _search_generic(
-    d: int, classes: tuple[CycleType, ...], anchor: Perm
+    d: int, classes: tuple[CycleType, ...], anchor: Perm, centralizer: Sequence[Perm]
 ) -> Iterator[tuple[Perm, ...]]:
     """Raw tuples (g_1, ..., g_r) with g_r = anchor, for any r >= 3: g_2 ... g_r
     is L V R, with V the rows of the vectorized class, L the product of the
-    looped entries left of it and R of those right of it, anchor included."""
+    looped entries left of it and R of those right of it, anchor included.
+
+    The first looped class runs only over the least element of each orbit of
+    centralizer, the anchor's centralizer, so the tuples found are a subset of
+    the raw set whose closure under conjugation by centralizer is all of it."""
     moved = classes[0].moved
     idx = np.arange(d, dtype=np.int16)
     middle = classes[1:-1]
     at = max(range(len(middle)), key=lambda i: middle[i].class_size())
     rows = np.array(list(all_of_type(middle[at])), dtype=np.int16)
-    lefts = [list(all_of_type(cl)) for cl in middle[:at]]
-    rights = [list(all_of_type(cl)) for cl in middle[at + 1:]]
+    looped = [list(all_of_type(cl)) for i, cl in enumerate(middle) if i != at]
+    if looped:
+        minima = _orbit_minima(((x,) for x in looped[0]), centralizer)
+        looped[0] = [x for (x,) in sorted(minima)]
+    lefts, rights = looped[:at], looped[at:]
     for right in itertools.product(*rights):
         after = rows[:, compose_all(right + (anchor,), d)]  # row k is V o R
         for left in itertools.product(*lefts):
@@ -451,10 +469,12 @@ _search_r3 = _search_r4 = _search_generic
 def _orbit_minima(
     raw: Iterable[tuple[Perm, ...]], centralizer: Sequence[Perm]
 ) -> set[tuple[Perm, ...]]:
-    """{_canonical_anchored(t, centralizer) for t in raw} for a raw set that is
-    closed under conjugation by centralizer.  A tuple not seen before marks its
-    whole orbit seen and keeps the orbit's minimum, so the conjugations are one
-    orbit per class, not per raw tuple."""
+    """{_canonical_anchored(t, centralizer) for t in raw}: the least tuple of
+    each orbit of the group centralizer that raw meets.  So raw need not be
+    closed under centralizer; any raw set whose closure is the full raw set
+    gives the full set's minima.  A tuple not seen before marks its whole orbit
+    seen and keeps the orbit's minimum, so the conjugations are one orbit per
+    class, not per raw tuple."""
     seen: set[tuple[Perm, ...]] = set()
     minima = set()
     for tup in raw:
@@ -484,11 +504,12 @@ def enumerate_factorizations(
     order = _search_order(t.classes)
     classes = tuple(t.classes[i] for i in order)
     anchor = classes[-1].canonical_representative()
-    raw = _search_generic(d, classes, anchor)
-    seen = _orbit_minima(raw, centralizer_elements(anchor))
+    centralizer = centralizer_elements(anchor)
+    seen = _orbit_minima(_search_generic(d, classes, anchor, centralizer), centralizer)
     if order != tuple(sorted(order)):
+        last = _anchor_centralizer(t.classes[-1])
         seen = {
-            canonical_form(HurwitzFactorization(d, _to_type_order(tup, order))).perms
+            _canonical_anchored(_anchor_last(_to_type_order(tup, order)), last)
             for tup in seen
         }
     return [HurwitzFactorization(d, tup) for tup in sorted(seen)]

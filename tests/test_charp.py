@@ -49,6 +49,25 @@ def test_tail_invariants_rejections():
         tail_invariants(8, (3,))  # not prime
 
 
+def test_tail_invariants_accepts_lists_and_keeps_rejecting():
+    assert tail_invariants(7, [3, 2]) == tail_invariants(7, (2, 3))
+    assert tail_invariants(7, [4]) == tail_invariants(7, CycleType(7, (4,)))
+    for _ in range(2):  # a rejection is not cached as a result
+        with pytest.raises(InvalidTypeError):
+            tail_invariants(7, [4, 4])
+
+
+def test_signature_check_agrees_with_fraction_sum():
+    rng = random.Random(7)
+    for p in (5, 7, 11, 13, 31):
+        classes = [(e,) for e in range(2, p + 1)]
+        classes += [(a, b) for a in range(2, p) for b in range(a, p + 1 - a)]
+        for _ in range(300):
+            chosen = [rng.choice(classes) for _ in range(rng.choice((3, 4)))]
+            total = sum(tail_invariants(p, c).sigma for c in chosen if c != (p,))
+            assert signature_check(p, chosen) == (total == len(chosen) - 2), (p, chosen)
+
+
 def test_tail_invariant_triple_small_sweep():
     for p in (5, 7, 11, 13):
         for e in range(2, p):

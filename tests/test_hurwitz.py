@@ -38,6 +38,7 @@ from purecycle.hurwitz import (
 )
 from purecycle.perm import (
     CycleType,
+    all_of_type,
     centralizer_elements,
     compose_all,
     conjugate,
@@ -319,7 +320,8 @@ def test_to_type_order_keeps_product_transitivity_and_conjugation(text):
     order = _search_order(t.classes)
     assert order != tuple(range(len(order)))
     classes = tuple(t.classes[i] for i in order)
-    raw = _search_generic(d, classes, classes[-1].canonical_representative())
+    anchor = classes[-1].canonical_representative()
+    raw = _search_generic(d, classes, anchor, centralizer_elements(anchor))
     rng = random.Random(5)
     for tup in itertools.islice(raw, 6):
         back = _to_type_order(tup, order)
@@ -391,20 +393,35 @@ def test_batch_filters_agree_with_per_row_checks(batch):
 
 
 @pytest.mark.parametrize(
-    "text", ["5:2,2,4,4", "6:2-2,4,6", "8:2-6,8,2", "7:2,3,3,3,4", "5:2,2,2,3,4"]
+    "text",
+    ["5:2,2,4,4", "6:2-2,4,6", "8:2-6,8,2", "7:2,3,3,3,4", "5:2,2,2,3,4",
+     "6:2,5,3,4", "6:3,2,5,4", "6:2,3,2,4,4"],
 )
 def test_orbit_sweep_keeps_one_minimum_per_centralizer_orbit(text, monkeypatch):
     # 6:2-2,4,6 has a self-paired class, whose orbit is smaller than the
-    # centralizer; 7:2,3,3,3,4 has negative genus, so its raw set is empty
+    # centralizer; 7:2,3,3,3,4 has negative genus, so its raw set is empty.
+    # The first looped class lies right of the vectorized one in 5:2,2,4,4,
+    # 5:2,2,2,3,4 and 6:3,2,5,4, left of it in 6:2,5,3,4 and 6:2,3,2,4,4;
+    # the r = 3 types have none.
     t = RamificationType.parse(text)
+    d = t.degree
     classes = tuple(t.classes[i] for i in _search_order(t.classes))
     anchor = classes[-1].canonical_representative()
     centralizer = centralizer_elements(anchor)
-    raw = list(_search_generic(t.degree, classes, anchor))
-    assert len(set(raw)) == len(raw)
+    full = list(_search_generic(d, classes, anchor, [identity(d)]))
+    assert len(set(full)) == len(full)
     for z in centralizer:
-        assert {tuple(conjugate(z, g) for g in tup) for tup in raw} == set(raw)
-    expected = {_canonical_anchored(tup, centralizer) for tup in raw}
+        assert {tuple(conjugate(z, g) for g in tup) for tup in full} == set(full)
+    expected = {_canonical_anchored(tup, centralizer) for tup in full}
+
+    middle = classes[1:-1]
+    at = max(range(len(middle)), key=lambda i: middle[i].class_size())
+    looped = [i for i in range(len(middle)) if i != at]
+    orbits = 0
+    if looped:
+        orbits = len({
+            _canonical_anchored((x,), centralizer) for x in all_of_type(middle[looped[0]])
+        })
 
     calls = 0
 
@@ -414,9 +431,22 @@ def test_orbit_sweep_keeps_one_minimum_per_centralizer_orbit(text, monkeypatch):
         return conjugate(s, g)
 
     monkeypatch.setattr("purecycle.hurwitz.conjugate", counting_conjugate)
-    assert _orbit_minima(raw, centralizer) == expected
-    # one conjugation of each of the r entries, by each z, per class
-    assert calls <= len(expected) * len(centralizer) * len(classes)
+    reduced = list(_search_generic(d, classes, anchor, centralizer))
+    assert _orbit_minima(reduced, centralizer) == expected
+    # one sweep of the looped class, then one conjugation of each of the r
+    # entries, by each z, per class
+    assert calls <= len(centralizer) * (orbits + len(expected) * len(classes))
+    monkeypatch.undo()
+
+    closure = {tuple(conjugate(z, g) for g in tup) for z in centralizer for tup in reduced}
+    assert closure == set(full)
+    if looped:
+        # the first looped entry is always the least of its centralizer orbit
+        for tup in reduced:
+            x = tup[1 + looped[0]]
+            assert _canonical_anchored((x,), centralizer) == (x,)
+    else:
+        assert reduced == full
 
 
 def _pinned_types():
@@ -472,7 +502,6 @@ def test_canonical_form_is_idempotent_and_conjugation_invariant(data):
     assert canonical_form(canon) == canon
 
 
-@pytest.mark.slow
 def test_pure4_formula_at_degree_ten():
     types = [
         es for es in itertools.combinations_with_replacement(range(2, 11), 4)
@@ -486,5 +515,13 @@ def test_pure4_formula_at_degree_ten():
 
 @pytest.mark.slow
 def test_enumeration_at_degree_eleven_pure_cycle_bound():
-    t = RamificationType.pure(11, (2, 2, 9, 11))
-    assert hurwitz_number_brute(t) == hurwitz_formula_pure4(11, (2, 2, 9, 11)) == 11
+    # degree 11 is the largest that PURE_CYCLE_MAX_DEGREE admits
+    types = [
+        es for es in itertools.combinations_with_replacement(range(2, 12), 4)
+        if sum(es) == 24
+    ]
+    assert len(types) == 41
+    for es in types:
+        t = RamificationType.pure(11, es)
+        assert hurwitz_number_brute(t) == hurwitz_formula_pure4(11, es), str(t)
+    assert hurwitz_formula_pure4(11, (2, 2, 9, 11)) == 11
