@@ -62,6 +62,8 @@ class StabilizerChain:
         self.base: list[int] = []
         self._level_gens: list[list[Perm]] = []
         self.transversals: list[dict[int, Perm]] = []
+        # _inverses[i][pt] is transversals[i][pt]^-1, so sifting never inverts
+        self._inverses: list[dict[int, Perm]] = []
         self._build([g for g in generators if g != identity(degree)])
 
     # -- construction ------------------------------------------------------
@@ -73,28 +75,32 @@ class StabilizerChain:
         self.base.append(self._first_moved(g))
         self._level_gens.append([])
         self.transversals.append({})
+        self._inverses.append({})
 
     def _rebuild_transversal(self, i: int) -> None:
         b = self.base[i]
         trans = {b: identity(self.degree)}
+        inv = {b: identity(self.degree)}
+        gens = [(s, inverse(s)) for s in self._level_gens[i]]
         queue = [b]
         for a in queue:
             ua = trans[a]
-            for s in self._level_gens[i]:
+            for s, s_inv in gens:
                 c = s[a]
                 if c not in trans:
                     trans[c] = compose(s, ua)
+                    inv[c] = compose(inv[a], s_inv)
                     queue.append(c)
         self.transversals[i] = trans
+        self._inverses[i] = inv
 
     def _strip(self, g: Perm, start: int) -> tuple[Perm, int]:
         """Sift g through levels >= start; returns (residue, level reached)."""
         for j in range(start, len(self.base)):
-            x = g[self.base[j]]
-            u = self.transversals[j].get(x)
-            if u is None:
+            u_inv = self._inverses[j].get(g[self.base[j]])
+            if u_inv is None:
                 return g, j
-            g = compose(inverse(u), g)
+            g = compose(u_inv, g)
         return g, len(self.base)
 
     def _build(self, gens: list[Perm]) -> None:
@@ -116,12 +122,12 @@ class StabilizerChain:
         while i >= 0:
             violation = False
             trans = self.transversals[i]
+            inv = self._inverses[i]
             orbit = list(trans)
             for b in orbit:
                 ub = trans[b]
                 for s in self._level_gens[i]:
-                    sb = s[b]
-                    schreier = compose(inverse(trans[sb]), compose(s, ub))
+                    schreier = compose(inv[s[b]], compose(s, ub))
                     if schreier == ident:
                         continue
                     residue, j = self._strip(schreier, i + 1)
@@ -213,6 +219,8 @@ def group_analyze(
 
 def element_closure(generators: Sequence[Perm], cap: int) -> set[Perm]:
     """Exhaustive closure under multiplication; oracle for small orders."""
+    if not generators:
+        raise InvalidTypeError("at least one generator required")
     degree = len(generators[0])
     seen = {identity(degree)}
     frontier = [identity(degree)]
@@ -234,6 +242,8 @@ def cycle_type_census(
 
     Requires the group order to be at most cap (full enumeration).
     """
+    if not generators:
+        raise InvalidTypeError("at least one generator required")
     degree = len(generators[0])
     chain = StabilizerChain(generators, degree)
     order = chain.order()
@@ -248,9 +258,15 @@ def _census_batched(chain: StabilizerChain) -> Counter[tuple[int, ...]]:
     """Census via numpy batches; same result as direct element iteration.
 
     Elements are built as outer-prefix x inner-suffix transversal products.
-    The fixed-point counts of g, g^2, ..., g^degree determine the cycle type
-    of g, so elements are grouped by that row and one representative of each
-    group is decomposed into cycles.
+    Each element g gets the row of fixed-point counts of g, g^2, ..., g^h with
+    h = max(degree // 2, 1), and elements are grouped by that row; one
+    representative of each group is decomposed into cycles.
+
+    The row determines the cycle type.  With c_l the number of l-cycles,
+    fix(g^k) = sum of l * c_l over the divisors l of k, and every divisor of
+    k <= h is itself <= h, so Moebius inversion recovers c_1, ..., c_h.  The
+    points outside those cycles lie in cycles longer than degree / 2, of which
+    there is at most one.
     """
     degree = chain.degree
     sizes = [len(t) for t in chain.transversals]
@@ -270,17 +286,18 @@ def _census_batched(chain: StabilizerChain) -> Counter[tuple[int, ...]]:
     counts: Counter[tuple[int, ...]] = Counter()
     idx = np.arange(degree, dtype=np.int16)
     fix_dtype = np.min_scalar_type(degree)
+    half = max(degree // 2, 1)
     # Each row is keyed by its raw bytes as one fixed-width record: exact at
     # any degree, and a 1-D sort, which is several times faster than sorting
     # rows with np.unique(axis=0).
-    key_dtype = np.dtype((np.void, degree * fix_dtype.itemsize))
+    key_dtype = np.dtype((np.void, half * fix_dtype.itemsize))
 
     def count_chunk(batch: np.ndarray) -> None:
-        fixmat = np.empty((batch.shape[0], degree), dtype=fix_dtype)
+        fixmat = np.empty((batch.shape[0], half), dtype=fix_dtype)
         rows = np.arange(batch.shape[0])[:, None]
         power = batch
         fixmat[:, 0] = (batch == idx).sum(axis=1)
-        for k in range(2, degree + 1):
+        for k in range(2, half + 1):
             power = batch[rows, power]
             fixmat[:, k - 1] = (power == idx).sum(axis=1)
         _, first, cnt = np.unique(

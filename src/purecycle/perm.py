@@ -19,6 +19,7 @@ import itertools
 import math
 import re
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
 from .errors import BoundExceededError, InvalidTypeError
@@ -45,7 +46,9 @@ def compose(a: Perm, b: Perm) -> Perm:
     """Product ab under the apply-b-first convention: (ab)(x) = a(b(x))."""
     if len(a) != len(b):
         raise InvalidTypeError(f"degree mismatch: {len(a)} vs {len(b)}")
-    return tuple(a[x] for x in b)
+    if len(b) < 2:  # itemgetter needs an index and returns a bare item for one
+        return tuple(a[x] for x in b)
+    return itemgetter(*b)(a)
 
 
 def compose_all(perms: Iterable[Perm], degree: int) -> Perm:

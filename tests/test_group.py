@@ -20,6 +20,7 @@ from purecycle.group import (
 )
 from purecycle.perm import (
     CycleType,
+    compose,
     cycle_lengths,
     from_cycles,
     identity,
@@ -97,6 +98,12 @@ def test_order_cap_guard():
 def test_closure_cap_guard():
     with pytest.raises(BoundExceededError):
         element_closure(s_n_gens(8), cap=1000)
+
+
+@pytest.mark.parametrize("fn", [cycle_type_census, element_closure])
+def test_empty_generator_list_is_rejected(fn):
+    with pytest.raises(InvalidTypeError, match="at least one generator required"):
+        fn([], 10)
 
 
 def test_pgammal2_16_order_and_closure():
@@ -189,6 +196,40 @@ def two_generator_groups(draw):
 def test_census_matches_closure_on_random_groups(gens):
     closure = element_closure(gens, cap=5040)
     assert census_lengths(gens) == Counter(cycle_lengths(g) for g in closure)
+
+
+@settings(max_examples=50, deadline=None)
+@given(two_generator_groups())
+def test_chain_matches_closure_on_random_groups(gens):
+    chain = StabilizerChain(gens, len(gens[0]))
+    closure = element_closure(gens, cap=5040)
+    assert chain.order() == len(closure)
+    assert all(g in chain for g in closure)
+
+
+def cycle_types(degree):
+    """Every CycleType of the degree."""
+
+    def lengths(room, largest):  # non-increasing lengths >= 2, sum <= room
+        yield ()
+        for l in range(min(room, largest), 1, -1):
+            for rest in lengths(room - l, l):
+                yield (l,) + rest
+
+    return [CycleType(degree, ls) for ls in lengths(degree, degree)]
+
+
+@pytest.mark.parametrize("degree", range(1, 13))
+def test_census_of_every_cyclic_group_through_degree_twelve(degree):
+    # the census reads fix(g^k) for k <= degree // 2 only; a cycle longer than
+    # degree / 2 and degrees 1 to 3 are where that cutoff could go wrong
+    for t in cycle_types(degree):
+        g = t.canonical_representative()
+        powers = [identity(degree)]
+        while (nxt := compose(g, powers[-1])) != powers[0]:
+            powers.append(nxt)
+        expected = Counter(CycleType.of(h) for h in powers)
+        assert cycle_type_census([g], cap=100) == expected, t
 
 
 @pytest.mark.slow

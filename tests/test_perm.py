@@ -43,6 +43,14 @@ def test_compose_degree_mismatch():
         compose(identity(3), identity(4))
 
 
+def test_compose_returns_tuples_at_degrees_one_and_two():
+    assert compose((0,), (0,)) == (0,)
+    assert compose((1, 0), (1, 0)) == (0, 1)
+    assert compose((1, 0), (0, 1)) == (1, 0)
+    with pytest.raises(InvalidTypeError):
+        compose((0,), (1, 0))
+
+
 def test_compose_with_inverse_is_identity():
     rng = random.Random(1)
     for _ in range(50):
