@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Every computation is exposed as a subcommand with deterministic, scriptable
-output (table, json or csv).  Exit codes: 0 success, 2 validation error,
+output (table, json or csv).  Exit codes: 0 success, 1 failed check
+(``hurwitz --mode both`` or ``verify`` reports FAIL), 2 validation error,
 3 resource-guard abort.  Degree/order bounds can be overridden with the
 PURECYCLE_MAX_DEGREE, PURECYCLE_PURE_MAX_DEGREE and PURECYCLE_ORDER_CAP
 environment variables.
@@ -34,7 +35,12 @@ from .fppoly import (
     irreducible_factor_degrees,
     supersingular_lambdas,
 )
-from .group import cycle_type_census, group_analyze, load_generators
+from .group import (
+    DEFAULT_ORDER_CAP,
+    cycle_type_census,
+    group_analyze,
+    load_generators,
+)
 from .hurwitz import (
     RamificationType,
     enumerate_factorizations,
@@ -75,10 +81,11 @@ def _env_int(name: str) -> int | None:
 
 
 def _config(args) -> RunConfig:
+    order_cap = _env_int("PURECYCLE_ORDER_CAP")
     return RunConfig(
         max_degree=_env_int("PURECYCLE_MAX_DEGREE"),
         pure_max_degree=_env_int("PURECYCLE_PURE_MAX_DEGREE"),
-        order_cap=_env_int("PURECYCLE_ORDER_CAP") or 10**8,
+        order_cap=DEFAULT_ORDER_CAP if order_cap is None else order_cap,
         fmt=getattr(args, "format", "table"),
         slow=getattr(args, "slow", False),
     )

@@ -254,19 +254,36 @@ def cycle_type_census(
     )
 
 
+def fixed_point_rows(words: np.ndarray, top: int) -> np.ndarray:
+    """Row i holds fix(words[i]^k) for k = 1, ..., top.
+
+    words holds one permutation of degree d per row, in word form.  At
+    top = max(d // 2, 1) the row determines the cycle type, so two
+    permutations are conjugate exactly when their rows are equal.  With c_l
+    the number of l-cycles, fix(g^k) = sum of l * c_l over the divisors l of
+    k, and every divisor of k <= top is itself <= top, so Moebius inversion
+    recovers c_1, ..., c_top.  The points outside those cycles lie in cycles
+    longer than d / 2, of which there is at most one.
+    """
+    n, degree = words.shape
+    idx = np.arange(degree, dtype=words.dtype)
+    out = np.empty((n, top), dtype=np.min_scalar_type(degree))
+    rows = np.arange(n)[:, None]
+    power = words
+    out[:, 0] = (words == idx).sum(axis=1)
+    for k in range(1, top):
+        power = words[rows, power]  # w^(k+1) = w o w^k
+        out[:, k] = (power == idx).sum(axis=1)
+    return out
+
+
 def _census_batched(chain: StabilizerChain) -> Counter[tuple[int, ...]]:
     """Census via numpy batches; same result as direct element iteration.
 
-    Elements are built as outer-prefix x inner-suffix transversal products.
-    Each element g gets the row of fixed-point counts of g, g^2, ..., g^h with
-    h = max(degree // 2, 1), and elements are grouped by that row; one
-    representative of each group is decomposed into cycles.
-
-    The row determines the cycle type.  With c_l the number of l-cycles,
-    fix(g^k) = sum of l * c_l over the divisors l of k, and every divisor of
-    k <= h is itself <= h, so Moebius inversion recovers c_1, ..., c_h.  The
-    points outside those cycles lie in cycles longer than degree / 2, of which
-    there is at most one.
+    Elements are built as outer-prefix x inner-suffix transversal products,
+    grouped by their fixed_point_rows at top = max(degree // 2, 1), which
+    determine the cycle type; one representative of each group is decomposed
+    into cycles.
     """
     degree = chain.degree
     sizes = [len(t) for t in chain.transversals]
@@ -284,25 +301,15 @@ def _census_batched(chain: StabilizerChain) -> Counter[tuple[int, ...]]:
         inner = images[:, inner].reshape(-1, degree)
 
     counts: Counter[tuple[int, ...]] = Counter()
-    idx = np.arange(degree, dtype=np.int16)
-    fix_dtype = np.min_scalar_type(degree)
     half = max(degree // 2, 1)
-    # Each row is keyed by its raw bytes as one fixed-width record: exact at
-    # any degree, and a 1-D sort, which is several times faster than sorting
-    # rows with np.unique(axis=0).
-    key_dtype = np.dtype((np.void, half * fix_dtype.itemsize))
 
     def count_chunk(batch: np.ndarray) -> None:
-        fixmat = np.empty((batch.shape[0], half), dtype=fix_dtype)
-        rows = np.arange(batch.shape[0])[:, None]
-        power = batch
-        fixmat[:, 0] = (batch == idx).sum(axis=1)
-        for k in range(2, half + 1):
-            power = batch[rows, power]
-            fixmat[:, k - 1] = (power == idx).sum(axis=1)
-        _, first, cnt = np.unique(
-            fixmat.view(key_dtype).ravel(), return_index=True, return_counts=True
-        )
+        fixed = fixed_point_rows(batch, half)
+        # Each row is keyed by its raw bytes as one fixed-width record: exact
+        # at any degree, and a 1-D sort, which is several times faster than
+        # sorting rows with np.unique(axis=0).
+        keys = fixed.view(np.dtype((np.void, half * fixed.itemsize))).ravel()
+        _, first, cnt = np.unique(keys, return_index=True, return_counts=True)
         for i, n in zip(first.tolist(), cnt.tolist()):
             counts[cycle_lengths(batch[i].tolist())] += n
 

@@ -15,16 +15,18 @@ each orbit of the anchor's centralizer Z acting by conjugation.  That loses no
 class: conjugation by Z keeps the anchor, the product, the classes and
 transitivity, so the raw tuples are closed under Z, and the conjugate of a raw
 tuple that moves its first looped entry to that entry's orbit representative is
-a raw tuple the loop reaches.  Each numpy batch is filtered three times: by
-the number of points the solved entry moves, by its cycle type, read off the
-fixed-point counts of its powers, and by transitivity, tested by min-label
-propagation; only the rows that pass all three become tuples.  Deduplication
-sweeps Z-orbits: a tuple not seen before marks its whole orbit seen and keeps
-the orbit's lexicographically least tuple.  If the order moved, each
-representative is carried back to the type's class order by the Hurwitz moves
-(a, b) -> (a b a^-1, a), which keep the product and the generated group and
-commute with uniform conjugation, and is then put in canonical form over the
-centralizer of the type's last class, computed once per type.  Every
+a raw tuple the loop reaches.  Each numpy batch is filtered three times.  The
+first two compare the solved entry with one key of its class, the row of
+fixed-point counts of its powers that the group census keys by
+(group.fixed_point_rows): first the key's fixed-point count alone, then the
+whole key, which fixes the cycle type.  The third tests transitivity by
+min-label propagation.  Only the rows that pass all three become tuples.
+Deduplication sweeps Z-orbits: a tuple not seen before marks its whole orbit
+seen and keeps the orbit's lexicographically least tuple.  If the order moved,
+each representative is carried back to the type's class order by the Hurwitz
+moves (a, b) -> (a b a^-1, a), which keep the product and the generated group
+and commute with uniform conjugation, and is then put in canonical form over
+the centralizer of the type's last class, computed once per type.  Every
 returned representative is in that canonical form, and the list is sorted, so
 output is deterministic.
 
@@ -44,7 +46,7 @@ import numpy as np
 
 from .arith import is_prime
 from .errors import BoundExceededError, InvalidTypeError
-from .group import is_transitive
+from .group import fixed_point_rows, is_transitive
 from .perm import (
     CycleType,
     Perm,
@@ -135,9 +137,6 @@ class RamificationType:
         return e1, e2, singles[0], singles[1]
 
 
-genus_of_type = RamificationType.genus
-
-
 @dataclass(frozen=True)
 class HurwitzFactorization:
     """Tuple of permutations with product identity and transitive image."""
@@ -167,11 +166,11 @@ class HurwitzFactorization:
 class MonodromyClass:
     """Galois group of the Galois closure, as a closed label set."""
 
-    kind: str  # "symmetric" | "alternating" | "affine" | "psl_family" | "exceptional"
+    kind: str  # "symmetric" | "alternating" | "affine" | "exceptional"
     degree: int | None = None
     label: str | None = None
 
-    _KINDS = ("symmetric", "alternating", "affine", "psl_family", "exceptional")
+    _KINDS = ("symmetric", "alternating", "affine", "exceptional")
 
     def __post_init__(self):
         if self.kind not in self._KINDS:
@@ -188,8 +187,6 @@ class MonodromyClass:
             return f"A{self.degree}"
         if self.kind == "affine":
             return "F_p:F_p^*"
-        if self.kind == "psl_family":
-            return "PSL2-family"
         return self.label or "exceptional"
 
 
@@ -369,40 +366,6 @@ def _to_type_order(perms: tuple[Perm, ...], order: Sequence[int]) -> tuple[Perm,
     return tuple(perms)
 
 
-def _flat(rows: np.ndarray) -> np.ndarray:
-    """A batch of n permutations of degree d as one permutation of n*d
-    positions, row i's point x at position i*d + x, so that composing and
-    following labels need only one-dimensional indexing."""
-    n, d = rows.shape
-    return (rows + np.arange(0, n * d, d)[:, None]).ravel()
-
-
-def _cycle_type_mask(words: np.ndarray, target: CycleType) -> np.ndarray:
-    """Mask of the rows of words (permutations in word form) of class target.
-
-    fix(w^k) is the number of fixed points plus the lengths l dividing k.  For
-    k = 1..m, with m the longest target length, these counts fix how many
-    l-cycles w has for every l <= m; the target's cycles of length <= m cover
-    all the points, so a match leaves no room for a longer cycle.
-    """
-    n, d = words.shape
-    top = max(target.lengths, default=1)
-    expected = [
-        d - target.moved + sum(l for l in target.lengths if k % l == 0)
-        for k in range(1, top + 1)
-    ]
-    step = _flat(words)
-    here = np.arange(n * d)
-    fixed = np.empty((top, n * d), dtype=bool)
-    power = step
-    for k in range(top):
-        if k:
-            power = step[power]  # w^(k+1) = w o w^k
-        np.equal(power, here, out=fixed[k])
-    counts = fixed.reshape(top, n, d).sum(axis=2)
-    return (counts == np.array(expected)[:, None]).all(axis=0)
-
-
 def _transitive_mask(shared: Sequence[Perm], rows: np.ndarray) -> np.ndarray:
     """Mask of the rows v for which <shared, v> is transitive.
 
@@ -412,7 +375,10 @@ def _transitive_mask(shared: Sequence[Perm], rows: np.ndarray) -> np.ndarray:
     transitive exactly when every label is the row's point 0.
     """
     n, d = rows.shape
-    gens = [_flat(rows)] + [_flat(np.broadcast_to(g, rows.shape)) for g in shared]
+    # each generator as one permutation of n*d positions, row i's point x at
+    # position i*d + x, so that following labels needs only 1-D indexing
+    starts = np.arange(0, n * d, d)[:, None]
+    gens = [(g + starts).ravel() for g in (rows, *map(np.asarray, shared))]
     labels = np.arange(n * d)
     while True:
         new = labels.copy()
@@ -420,7 +386,6 @@ def _transitive_mask(shared: Sequence[Perm], rows: np.ndarray) -> np.ndarray:
             np.minimum(new, new[g], out=new)
         new = new[new]
         if (new == labels).all():
-            starts = np.arange(0, n * d, d)[:, None]
             return (labels.reshape(n, d) == starts).all(axis=1)
         labels = new
 
@@ -435,7 +400,10 @@ def _search_generic(
     The first looped class runs only over the least element of each orbit of
     centralizer, the anchor's centralizer, so the tuples found are a subset of
     the raw set whose closure under conjugation by centralizer is all of it."""
-    moved = classes[0].moved
+    top = max(d // 2, 1)
+    key = fixed_point_rows(
+        np.array([classes[0].canonical_representative()], dtype=np.int16), top
+    )
     idx = np.arange(d, dtype=np.int16)
     middle = classes[1:-1]
     at = max(range(len(middle)), key=lambda i: middle[i].class_size())
@@ -451,10 +419,9 @@ def _search_generic(
             prod = after  # row k is L o V o R = g_2 ... g_r
             if left:
                 prod = np.asarray(compose_all(left, d), dtype=np.int16)[after]
-            counts = d - (prod == idx).sum(axis=1)
-            hits = np.nonzero(counts == moved)[0]
+            hits = np.nonzero((prod == idx).sum(axis=1) == key[0, 0])[0]
             if hits.size:
-                hits = hits[_cycle_type_mask(prod[hits], classes[0])]
+                hits = hits[(fixed_point_rows(prod[hits], top) == key).all(axis=1)]
             if hits.size:
                 # g_1 is the inverse of the others' product, so it adds nothing
                 hits = hits[_transitive_mask(left + right + (anchor,), rows[hits])]

@@ -100,21 +100,7 @@ def cycles(g: Perm) -> list[tuple[int, ...]]:
 
 def cycle_lengths(g: Perm) -> tuple[int, ...]:
     """Lengths >= 2 of the cycles of g, sorted decreasing (fixed points dropped)."""
-    lengths = []
-    seen = [False] * len(g)
-    for start in range(len(g)):
-        if seen[start] or g[start] == start:
-            continue
-        n = 1
-        seen[start] = True
-        x = g[start]
-        while x != start:
-            seen[x] = True
-            n += 1
-            x = g[x]
-        lengths.append(n)
-    lengths.sort(reverse=True)
-    return tuple(lengths)
+    return tuple(sorted(map(len, cycles(g)), reverse=True))
 
 
 def from_cycles(degree: int, cycle_list: Iterable[Sequence[int]]) -> Perm:
@@ -210,9 +196,6 @@ class CycleType:
         if not self.lengths:
             return "1"
         return "-".join(str(l) for l in sorted(self.lengths))
-
-
-cycle_type = CycleType.of
 
 
 def centralizer_order(t: CycleType) -> int:

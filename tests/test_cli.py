@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 from importlib import resources
@@ -103,6 +104,43 @@ def test_group_rejects_census_cap_below_one(cap):
     assert code == 2
     assert out == ""
     assert err == "error: census cap must be positive\n"
+
+
+@pytest.mark.parametrize("cap", ["0", "-1"])
+def test_group_rejects_order_cap_below_one(cap, monkeypatch):
+    monkeypatch.setenv("PURECYCLE_ORDER_CAP", cap)
+    path = resources.files("purecycle").joinpath("data", "m11.txt")
+    code, out, err = run_cli("group", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == "error: order cap must be positive\n"
+
+
+def test_group_order_cap_from_environment(monkeypatch):
+    monkeypatch.setenv("PURECYCLE_ORDER_CAP", "100")
+    path = resources.files("purecycle").joinpath("data", "m11.txt")
+    code, out, err = run_cli("group", str(path))
+    assert code == 3
+    assert out == ""
+    assert err == "resource guard: group order 7920 exceeds cap 100\n"
+
+
+@pytest.mark.parametrize(
+    "name, fmt, digest",
+    [
+        ("m11", "table", "631bbafc50d47767b9126dc481020ba9543003ff11aff4da11dfded15af67719"),
+        ("m11", "json", "b351025f2a5aa99d7460acf411bbfcfdc639dab693f86097dd7c4b20b6fd21c9"),
+        ("m11", "csv", "a553327a1b208ce0b6d96e6d8db06016b209b092692e6cc3eaf0d1e43c3d0dea"),
+        ("pgammal2_16", "table", "6f8d59a84184877c0630921c68fc91cf8289c39cd888ab25ff9313043a06c6d1"),
+        ("pgammal2_16", "json", "153a9a4c3a20f991d17977d70534bb2f241fbcd6cf97db936b5e033055aceeca"),
+        ("pgammal2_16", "csv", "5727fd71ea795a84bc9bdcdebdf5fd17fca071351b4e81da2b5d606f0241909a"),
+    ],
+)
+def test_group_census_output_is_pinned(name, fmt, digest):
+    path = resources.files("purecycle").joinpath("data", f"{name}.txt")
+    code, out, _ = run_cli("group", str(path), "--census", "--format", fmt)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_json_output_roundtrips():

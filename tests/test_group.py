@@ -3,6 +3,7 @@ import random
 from collections import Counter
 from importlib import resources
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,6 +15,7 @@ from purecycle.group import (
     StabilizerChain,
     cycle_type_census,
     element_closure,
+    fixed_point_rows,
     group_analyze,
     is_transitive,
     load_generators,
@@ -21,6 +23,7 @@ from purecycle.group import (
 from purecycle.perm import (
     CycleType,
     compose,
+    conjugate,
     cycle_lengths,
     from_cycles,
     identity,
@@ -230,6 +233,21 @@ def test_census_of_every_cyclic_group_through_degree_twelve(degree):
             powers.append(nxt)
         expected = Counter(CycleType.of(h) for h in powers)
         assert cycle_type_census([g], cap=100) == expected, t
+
+
+def test_fixed_point_rows_separate_every_cycle_type_through_degree_twelve():
+    # the census and the Hurwitz search both key a class by this row
+    rng = random.Random(12)
+    checked = 0
+    for degree in range(1, 13):
+        top = max(degree // 2, 1)
+        reps = [t.canonical_representative() for t in cycle_types(degree)]
+        rows = fixed_point_rows(np.array(reps, dtype=np.int16), top)
+        assert len({row.tobytes() for row in rows}) == len(reps)
+        moved = [conjugate(random_perm(rng, degree), g) for g in reps]
+        assert (fixed_point_rows(np.array(moved, dtype=np.int16), top) == rows).all()
+        checked += len(reps)
+    assert checked == 271
 
 
 @pytest.mark.slow

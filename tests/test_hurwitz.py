@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import reference_hurwitz_count
 from purecycle.errors import BoundExceededError, InvalidTypeError
-from purecycle.group import group_analyze, is_transitive
+from purecycle.group import fixed_point_rows, group_analyze, is_transitive
 from purecycle.hurwitz import (
     AFFINE_FP,
     HurwitzFactorization,
@@ -29,7 +29,6 @@ from purecycle.hurwitz import (
     monodromy_classify,
     symmetric,
     _canonical_anchored,
-    _cycle_type_mask,
     _orbit_minima,
     _search_generic,
     _search_order,
@@ -40,6 +39,7 @@ from purecycle.perm import (
     CycleType,
     all_of_type,
     centralizer_elements,
+    compose,
     compose_all,
     conjugate,
     cycle_lengths,
@@ -378,13 +378,28 @@ def filter_batches(draw):
     return shared, rows, target
 
 
+def powers(g, top):
+    """g, g^2, ..., g^top."""
+    out = [g]
+    while len(out) < top:
+        out.append(compose(g, out[-1]))
+    return out
+
+
 @settings(max_examples=200, deadline=None)
 @given(filter_batches())
 def test_batch_filters_agree_with_per_row_checks(batch):
     shared, rows, target = batch
     d = target.degree
+    top = max(d // 2, 1)
     words = np.array(rows, dtype=np.int16)
-    assert _cycle_type_mask(words, target).tolist() == [
+    fixed = fixed_point_rows(words, top)
+    assert fixed.tolist() == [
+        [sum(x == y for x, y in enumerate(g)) for g in powers(h, top)] for h in rows
+    ]
+    rep = np.array([target.canonical_representative()], dtype=np.int16)
+    key = fixed_point_rows(rep, top)
+    assert (fixed == key).all(axis=1).tolist() == [
         cycle_lengths(g) == target.lengths for g in rows
     ]
     assert _transitive_mask(shared, words).tolist() == [
