@@ -34,7 +34,6 @@ from .hurwitz import (
     HurwitzFactorization,
     MonodromyClass,
     RamificationType,
-    alternating,
     canonical_form,
     enumerate_factorizations,
     factorization_from_json,
@@ -44,7 +43,6 @@ from .hurwitz import (
     hurwitz_formula_pure4,
     hurwitz_number_brute,
     monodromy_classify,
-    symmetric,
 )
 from .braid import (
     AdmissibleCoverType,
@@ -54,17 +52,13 @@ from .braid import (
     braid_orbits,
     braid_q3,
     degenerate,
-    single_cycle_node,
-    two_cycle_node,
 )
 from .charp import (
     AutOrders,
     ReductionCount,
     TailInvariants,
     admissible_reduction_census,
-    ambiguous,
     bad_count_2cycle,
-    exact,
     good_degeneration,
     n_prime_tau_star,
     p_hurwitz_3pt_badtype,

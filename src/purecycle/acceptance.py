@@ -390,8 +390,8 @@ def criterion_11() -> str:
             profile = ramification_profile(tail_polynomial_single(p, e))
             assert profile.finite_points == ((0, e),) and profile.wild_at_infinity
             singles += 1
-        y = FpPoly.x(p)
-        y_minus_1 = y - FpPoly.one(p)
+        y = FpPoly.monomial(p, 1)
+        y_minus_1 = y - FpPoly.monomial(p, 0)
         for e1 in range(2, p):
             for e2 in range(e1, p + 1 - e1):
                 poly = tail_polynomial_double(p, e1, e2)

@@ -20,12 +20,11 @@ from .errors import InvalidTypeError
 from .hurwitz import (
     HurwitzFactorization,
     RamificationType,
-    _anchor_centralizer,
     _canonical_anchored,
     enumerate_factorizations,
     hurwitz_formula_pure4,
 )
-from .perm import Perm, compose, cycle_lengths, inverse
+from .perm import Perm, centralizer_elements, compose, cycle_lengths, inverse
 
 
 @dataclass(frozen=True)
@@ -56,14 +55,6 @@ class NodeClass:
         if self.kind == "single":
             return f"*{self.lengths[0]}"
         return f"*{self.lengths[0]}-{self.lengths[1]}"
-
-
-def single_cycle_node(m: int) -> NodeClass:
-    return NodeClass("single", (m,))
-
-
-def two_cycle_node(e1: int, e2: int) -> NodeClass:
-    return NodeClass("pair", (e1, e2))
 
 
 @dataclass(frozen=True)
@@ -109,7 +100,8 @@ def braid_orbits(
         raise InvalidTypeError("braid orbits are defined for 4-point types")
     reps = enumerate_factorizations(t, max_degree=max_degree)
     total = len(reps)
-    centralizer = _anchor_centralizer(t.classes[-1]) if reps else []
+    anchor = t.classes[-1].canonical_representative()
+    centralizer = centralizer_elements(anchor) if reps else []
     seen: set[tuple[Perm, ...]] = set()
     orbits = []
     for f in reps:
@@ -148,11 +140,11 @@ def degenerate(
     rho = compose(g3, g4)
     lengths = cycle_lengths(rho)
     if len(lengths) == 0:
-        node = single_cycle_node(1)  # unramified node
+        node = NodeClass("single", (1,))  # unramified node
     elif len(lengths) == 1:
-        node = single_cycle_node(lengths[0])
+        node = NodeClass("single", lengths)
     elif len(lengths) == 2:
-        node = two_cycle_node(*lengths)
+        node = NodeClass("pair", lengths)
     else:
         raise InvalidTypeError(
             f"node monodromy has cycle type {lengths}; expected one cycle or two"
@@ -189,7 +181,7 @@ def admissible_enumerate_char0(
     assert lower <= upper and (upper - lower) % 2 == 0
 
     out = [
-        AdmissibleCoverType(node=single_cycle_node(m), count=1, multiplicity=m)
+        AdmissibleCoverType(node=NodeClass("single", (m,)), count=1, multiplicity=m)
         for m in range(lower, upper + 1, 2)
     ]
     if e1 + e2 <= d:
@@ -199,8 +191,7 @@ def admissible_enumerate_char0(
             else (e3 + e4 - d - 1) * (d + 1 - e4)
         )
         assert count > 0
-        out.append(
-            AdmissibleCoverType(node=two_cycle_node(e1, e2), count=count, multiplicity=1)
-        )
+        node = NodeClass("pair", (e1, e2))
+        out.append(AdmissibleCoverType(node=node, count=count, multiplicity=1))
     assert sum(row.subtotal for row in out) == total
     return out

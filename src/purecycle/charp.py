@@ -84,7 +84,7 @@ class ReductionCount:
 
     def __add__(self, other: "ReductionCount | int") -> "ReductionCount":
         if isinstance(other, int):
-            other = exact(other)
+            other = ReductionCount(other, other)
         return ReductionCount(self.lo + other.lo, self.hi + other.hi)
 
     def __rsub__(self, total: int) -> "ReductionCount":
@@ -95,14 +95,6 @@ class ReductionCount:
         if self.is_exact:
             return str(self.lo)
         return f"{{{self.lo}|{self.hi}}}"
-
-
-def exact(n: int) -> ReductionCount:
-    return ReductionCount(n, n)
-
-
-def ambiguous(n: int, double: int) -> ReductionCount:
-    return ReductionCount(n, double)
 
 
 def _delta_undetermined(e1: int, e2: int, e3: int) -> bool:
@@ -233,8 +225,8 @@ def bad_count_2cycle(p: int, e1: int, e2: int, e3: int, e4: int) -> ReductionCou
         assert n % 2 == 0  # p odd makes p+1-2*e1 even
         n //= 2
     if _delta_undetermined(e1, e2, e3):
-        return ambiguous(n, 2 * n)
-    return exact(n)
+        return ReductionCount(n, 2 * n)
+    return ReductionCount(n, n)
 
 
 def p_hurwitz_3pt_badtype(p: int, e1: int, e2: int, e3: int, e4: int) -> ReductionCount:
@@ -281,15 +273,16 @@ def admissible_reduction_census(
     _validate_sorted_pure4(p, es)
     h = hurwitz_formula_pure4(p, es)
     single_bad = 2 * p + 1 - e3 - e4
+    n = p + 1 - e1 - e2
     if (p, *es) == _EXCLUDED_2CYCLE:
         pair_total = next(
             r.count for r in admissible_enumerate_char0(p, *es) if r.node.kind == "pair"
         )
-        pair_bad = ReductionCount(0, min(2 * (p + 1 - e1 - e2), pair_total))
+        pair_bad = ReductionCount(0, min(2 * n, pair_total))
     elif _delta_undetermined(e1, e2, e3):
-        pair_bad = ambiguous(p + 1 - e1 - e2, 2 * (p + 1 - e1 - e2))
+        pair_bad = ReductionCount(n, 2 * n)
     else:
-        pair_bad = exact(p + 1 - e1 - e2)
+        pair_bad = ReductionCount(n, n)
     bad = pair_bad + single_bad
     assert bad.hi < 2 * p
     if bad.is_exact:
@@ -318,9 +311,8 @@ def single_cycle_node_bad_general(
         return 0  # all component degrees stay below p
     if d + 1 >= e2 + e3 or d + 1 - e1 < p:
         return (d - p + 1) * (d + p + 1 - e3 - e4)
-    lower = e2 - e1 + 1 if d + 1 <= e2 + e3 else e4 - e3 + 1
-    upper = 2 * d + 1 - e3 - e4
-    return sum(range(lower, upper + 1, 2))
+    # here d+1 < e2+e3, so the nodes are *m with e2-e1+1 <= m <= 2d+1-e3-e4
+    return sum(range(e2 - e1 + 1, 2 * d + 2 - e3 - e4, 2))
 
 
 def p_hurwitz_pure4(p: int, e1: int, e2: int, e3: int, e4: int) -> int:

@@ -56,13 +56,11 @@ FORMATS = ("table", "json", "csv")
 
 @dataclass
 class RunConfig:
-    """Validated run options shared by the subcommands."""
+    """Validated resource bounds from the environment, shared by the subcommands."""
 
     max_degree: int | None
     pure_max_degree: int | None
     order_cap: int
-    fmt: str
-    slow: bool
 
     def __post_init__(self):
         for bound in (self.max_degree, self.pure_max_degree):
@@ -80,14 +78,12 @@ def _env_int(name: str) -> int | None:
     return int(raw) if raw else None
 
 
-def _config(args) -> RunConfig:
+def _config() -> RunConfig:
     order_cap = _env_int("PURECYCLE_ORDER_CAP")
     return RunConfig(
         max_degree=_env_int("PURECYCLE_MAX_DEGREE"),
         pure_max_degree=_env_int("PURECYCLE_PURE_MAX_DEGREE"),
         order_cap=DEFAULT_ORDER_CAP if order_cap is None else order_cap,
-        fmt=getattr(args, "format", "table"),
-        slow=getattr(args, "slow", False),
     )
 
 
@@ -115,11 +111,10 @@ def _emit(rows: list[dict], fmt: str, out) -> None:
 
 
 def _formula_count(t: RamificationType) -> int:
+    """Closed-form count of t, whose genus cmd_hurwitz has checked to be 0."""
     if t.is_pure_cycle:
         es = t.exponents
         if len(es) == 3:
-            if t.genus() != 0:
-                raise InvalidTypeError(f"{t} is not a genus-0 type")
             return 1
         if len(es) == 4:
             return hurwitz_formula_pure4(t.degree, es)
@@ -148,7 +143,7 @@ def cmd_hurwitz(args, cfg: RunConfig, out) -> int:
         row["brute"] = hurwitz_number_brute(t, max_degree=cfg.bound_for(t))
     if args.mode == "both":
         row["status"] = "PASS" if row["formula"] == row["brute"] else "FAIL"
-    _emit([row], cfg.fmt, out)
+    _emit([row], args.format, out)
     return 0 if row.get("status") != "FAIL" else 1
 
 
@@ -166,7 +161,7 @@ def cmd_braid(args, cfg: RunConfig, out) -> int:
             }
         )
     rows.sort(key=lambda r: (r["node"], r["length"], r["representative"]))
-    _emit(rows, cfg.fmt, out)
+    _emit(rows, args.format, out)
     return 0
 
 
@@ -205,7 +200,7 @@ def cmd_admissible(args, cfg: RunConfig, out) -> int:
                 "reduction": f"good={good} bad={bad}",
             }
         )
-    _emit(rows, cfg.fmt, out)
+    _emit(rows, args.format, out)
     return 0
 
 
@@ -235,7 +230,7 @@ def cmd_charp(args, cfg: RunConfig, out) -> int:
         }
     else:
         raise InvalidTypeError(f"type {t} is outside the characteristic-p results")
-    _emit([row], cfg.fmt, out)
+    _emit([row], args.format, out)
     return 0
 
 
@@ -252,7 +247,7 @@ def cmd_defdatum(args, cfg: RunConfig, out) -> int:
         "supersingular": ",".join(str(r) for r in supersingular_lambdas(datum)),
         "factor_degrees": ",".join(str(d) for d in irreducible_factor_degrees(poly)),
     }
-    _emit([row], cfg.fmt, out)
+    _emit([row], args.format, out)
     return 0
 
 
@@ -270,7 +265,7 @@ def cmd_tails(args, cfg: RunConfig, out) -> int:
         orders = tail_aut_orders(args.p, lengths[0])
         row["aut"] = orders.full
         row["aut0"] = orders.fixing
-    _emit([row], cfg.fmt, out)
+    _emit([row], args.format, out)
     return 0
 
 
@@ -287,14 +282,14 @@ def cmd_group(args, cfg: RunConfig, out) -> int:
             "classification": report.classification,
         }
     ]
-    _emit(rows, cfg.fmt, out)
+    _emit(rows, args.format, out)
     if args.census:
         census = cycle_type_census(gens, cap=args.census_cap)
         census_rows = [
             {"cycle_type": str(ct), "count": n}
             for ct, n in sorted(census.items(), key=lambda kv: (kv[0].moved, kv[0].lengths))
         ]
-        _emit(census_rows, cfg.fmt, out)
+        _emit(census_rows, args.format, out)
     return 0
 
 
@@ -307,7 +302,7 @@ def cmd_verify(args, cfg: RunConfig, out) -> int:
         listed = ",".join(str(n) for n in unknown)
         raise InvalidTypeError(f"no criterion {listed}; criteria are 1..11")
     results = acceptance.run_all(
-        numbers=numbers, slow=cfg.slow, echo=lambda line: out.write(line + "\n")
+        numbers=numbers, slow=args.slow, echo=lambda line: out.write(line + "\n")
     )
     return 0 if all(r.passed for r in results) else 1
 
@@ -378,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = _config(args)
+        cfg = _config()
         return args.fn(args, cfg, sys.stdout)
     except BoundExceededError as exc:
         print(f"resource guard: {exc}", file=sys.stderr)

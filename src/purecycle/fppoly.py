@@ -47,18 +47,6 @@ class FpPoly:
     # -- basics --------------------------------------------------------------
 
     @classmethod
-    def zero(cls, p: int) -> "FpPoly":
-        return cls(p)
-
-    @classmethod
-    def one(cls, p: int) -> "FpPoly":
-        return cls(p, (1,))
-
-    @classmethod
-    def x(cls, p: int) -> "FpPoly":
-        return cls(p, (0, 1))
-
-    @classmethod
     def monomial(cls, p: int, k: int, c: int = 1) -> "FpPoly":
         return cls(p, (0,) * k + (c,))
 
@@ -108,7 +96,7 @@ class FpPoly:
             return FpPoly(self.p, (c * other for c in self.coeffs))
         self._check(other)
         if self.is_zero() or other.is_zero():
-            return FpPoly.zero(self.p)
+            return FpPoly(self.p)
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a == 0:
@@ -127,7 +115,7 @@ class FpPoly:
         rem = list(self.coeffs)
         dq = len(rem) - len(other.coeffs)
         if dq < 0:
-            return FpPoly.zero(p), self
+            return FpPoly(p), self
         quot = [0] * (dq + 1)
         inv_lead = pow(other.coeffs[-1], -1, p)
         for k in range(dq, -1, -1):
@@ -201,7 +189,7 @@ def poly_gcd(a: FpPoly, b: FpPoly) -> FpPoly:
 
 
 def pow_mod(base: FpPoly, exponent: int, modulus: FpPoly) -> FpPoly:
-    result = FpPoly.one(base.p)
+    result = FpPoly.monomial(base.p, 0)
     base = base % modulus
     while exponent:
         if exponent & 1:
@@ -294,11 +282,8 @@ def squarefree_decomposition(f: FpPoly) -> list[tuple[FpPoly, int]]:
     f = f.monic()
     if f.degree() <= 0:
         return []
-    deriv = f.derivative()
-    if deriv.is_zero():
-        return [(g, m * f.p) for g, m in squarefree_decomposition(f.pth_root())]
     out = []
-    c = poly_gcd(f, deriv)
+    c = poly_gcd(f, f.derivative())
     w = f // c
     i = 1
     while w.degree() > 0:
@@ -320,13 +305,13 @@ def distinct_degree_factorization(f: FpPoly) -> list[tuple[int, FpPoly]]:
     squarefree f."""
     p = f.p
     out = []
-    frob = FpPoly.x(p)
+    frob = FpPoly.monomial(p, 1)
     k = 0
     rest = f
     while rest.degree() >= 2 * (k + 1):
         k += 1
         frob = pow_mod(frob, p, rest)
-        g = poly_gcd(rest, frob - FpPoly.x(p))
+        g = poly_gcd(rest, frob - FpPoly.monomial(p, 1))
         if g.degree() > 0:
             out.append((k, g))
             rest = rest // g
@@ -377,8 +362,8 @@ def tail_polynomial_double(p: int, e1: int, e2: int) -> FpPoly:
     """F(y) = y^e1 (y-1)^e2 Ftilde(y), monic of degree p, whose derivative is
     a nonzero constant times y^(e1-1) (y-1)^(e2-1)."""
     cofactor = tail_polynomial_cofactor(p, e1, e2)
-    y = FpPoly.x(p)
-    y_minus_1 = y - FpPoly.one(p)
+    y = FpPoly.monomial(p, 1)
+    y_minus_1 = y - FpPoly.monomial(p, 0)
     poly = FpPoly.monomial(p, e1)
     for _ in range(e2):
         poly = poly * y_minus_1

@@ -212,7 +212,10 @@ def centralizer_order(t: CycleType) -> int:
     return order
 
 
-def centralizer_elements(g: Perm, limit: int = 10**6) -> list[Perm]:
+CENTRALIZER_LIMIT = 10**6
+
+
+def centralizer_elements(g: Perm) -> list[Perm]:
     """All permutations commuting with g, built directly from its cycle structure.
 
     An element of the centralizer maps cycles of g to equal-length cycles of g
@@ -220,8 +223,10 @@ def centralizer_elements(g: Perm, limit: int = 10**6) -> list[Perm]:
     """
     degree = len(g)
     total = centralizer_order(CycleType.of(g))
-    if total > limit:
-        raise BoundExceededError(f"centralizer order {total} exceeds limit {limit}")
+    if total > CENTRALIZER_LIMIT:
+        raise BoundExceededError(
+            f"centralizer order {total} exceeds limit {CENTRALIZER_LIMIT}"
+        )
 
     by_length: dict[int, list[tuple[int, ...]]] = {}
     for cyc in cycles(g):

@@ -2,12 +2,11 @@ import pytest
 
 from purecycle.braid import (
     AdmissibleCoverType,
+    NodeClass,
     admissible_enumerate_char0,
     braid_orbits,
     braid_q3,
     degenerate,
-    single_cycle_node,
-    two_cycle_node,
 )
 from purecycle.errors import InvalidTypeError
 from purecycle.hurwitz import (
@@ -107,20 +106,20 @@ def test_degenerate_rejects_three_cycle_node():
 
 
 def test_node_class_validation():
-    assert single_cycle_node(1).m == 1
-    assert two_cycle_node(4, 2).lengths == (2, 4)
+    assert NodeClass("single", (1,)).m == 1
+    assert NodeClass("pair", (4, 2)).lengths == (2, 4)
     with pytest.raises(InvalidTypeError):
-        single_cycle_node(0)
+        NodeClass("single", (0,))
     with pytest.raises(InvalidTypeError):
-        two_cycle_node(2, 2).m  # m undefined for pairs
+        NodeClass("pair", (2, 2)).m  # m undefined for pairs
 
 
 def test_admissible_taxonomy_examples():
     rows = admissible_enumerate_char0(5, 2, 2, 4, 4)
     assert rows == [
-        AdmissibleCoverType(single_cycle_node(1), 1, 1),
-        AdmissibleCoverType(single_cycle_node(3), 1, 3),
-        AdmissibleCoverType(two_cycle_node(2, 2), 4, 1),
+        AdmissibleCoverType(NodeClass("single", (1,)), 1, 1),
+        AdmissibleCoverType(NodeClass("single", (3,)), 1, 3),
+        AdmissibleCoverType(NodeClass("pair", (2, 2)), 4, 1),
     ]
     rows = admissible_enumerate_char0(7, 2, 4, 4, 6)
     assert [(str(r.node), r.count, r.multiplicity) for r in rows] == [

@@ -1,15 +1,15 @@
+import itertools
 import math
 import random
 from fractions import Fraction
 
 import pytest
 
+from purecycle.braid import admissible_enumerate_char0
 from purecycle.charp import (
     ReductionCount,
     admissible_reduction_census,
-    ambiguous,
     bad_count_2cycle,
-    exact,
     good_degeneration,
     n_prime_tau_star,
     p_hurwitz_3pt_badtype,
@@ -112,8 +112,8 @@ def test_n_prime_tau_star():
 
 
 def test_reduction_count_arithmetic():
-    assert exact(3).is_exact and exact(3).value == 3
-    amb = ambiguous(2, 4)
+    assert ReductionCount(3, 3).is_exact and ReductionCount(3, 3).value == 3
+    amb = ReductionCount(2, 4)
     assert not amb.is_exact
     assert str(amb) == "{2|4}"
     assert (amb + 5).lo == 7 and (amb + 5).hi == 9
@@ -125,9 +125,9 @@ def test_reduction_count_arithmetic():
 
 
 def test_bad_count_2cycle_values():
-    assert bad_count_2cycle(7, 3, 3, 5, 5) == exact(1)
-    assert bad_count_2cycle(7, 2, 3, 5, 6) == exact(3)
-    assert bad_count_2cycle(7, 2, 4, 4, 6) == ambiguous(2, 4)
+    assert bad_count_2cycle(7, 3, 3, 5, 5) == ReductionCount(1, 1)
+    assert bad_count_2cycle(7, 2, 3, 5, 6) == ReductionCount(3, 3)
+    assert bad_count_2cycle(7, 2, 4, 4, 6) == ReductionCount(2, 4)
     with pytest.raises(InvalidTypeError):
         bad_count_2cycle(5, 2, 2, 4, 4)  # excluded exceptional type
     with pytest.raises(InvalidTypeError):
@@ -136,10 +136,10 @@ def test_bad_count_2cycle_values():
 
 def test_p_hurwitz_3pt_values():
     # frozen from the closed formulas: h(7;3-3,5,5) = 3 with exactly 1 bad
-    assert p_hurwitz_3pt_badtype(7, 3, 3, 5, 5) == exact(2)
-    assert p_hurwitz_3pt_badtype(7, 2, 3, 5, 6) == exact(3)
+    assert p_hurwitz_3pt_badtype(7, 3, 3, 5, 5) == ReductionCount(2, 2)
+    assert p_hurwitz_3pt_badtype(7, 2, 3, 5, 6) == ReductionCount(3, 3)
     # h(7;2-4,4,6) = 4 and bad = {2|4}
-    assert p_hurwitz_3pt_badtype(7, 2, 4, 4, 6) == ambiguous(0, 2)
+    assert p_hurwitz_3pt_badtype(7, 2, 4, 4, 6) == ReductionCount(0, 2)
 
 
 def test_three_point_good_reduction():
@@ -154,9 +154,10 @@ def test_three_point_good_reduction():
 
 def test_census_examples():
     good, bad = admissible_reduction_census(7, 3, 3, 5, 5)
-    assert bad == exact(7) and good == exact(8)
+    assert bad == ReductionCount(7, 7) and good == ReductionCount(8, 8)
     good, bad = admissible_reduction_census(7, 2, 3, 5, 6)
-    assert bad == exact(7) and good == exact(5)  # h = min(12,15,15,12) = 12
+    # h = min(12,15,15,12) = 12
+    assert bad == ReductionCount(7, 7) and good == ReductionCount(5, 5)
     good, bad = admissible_reduction_census(7, 2, 4, 4, 6)
     assert (bad.lo, bad.hi) == (7, 9) and (good.lo, good.hi) == (3, 5)
     # exceptional type falls back to the coarse bounds
@@ -206,8 +207,31 @@ def test_single_cycle_node_bad_general():
     assert single_cycle_node_bad_general(7, 7, 3, 3, 5, 5) == 2 * 7 + 1 - 10
     # below the characteristic every single-cycle degeneration stays separable
     assert single_cycle_node_bad_general(6, 7, 2, 3, 4, 5) == 0
-    # d > p with the formula branch applicable
+    # d > p, full-mass branch (d+1 = 9 < e2+e3 = 10 and d+1-e1 = 7 >= p), where
+    # the mass 3 + 5 happens to equal the formula's (8-7+1)(8+7+1-12)
     assert single_cycle_node_bad_general(8, 7, 2, 4, 6, 6) == (8 - 7 + 1) * (8 + 7 + 1 - 12)
+    # full-mass branch where the two differ: 5 + 7 = 12, the formula gives 15
+    assert single_cycle_node_bad_general(9, 7, 2, 6, 6, 6) == 12
+
+
+def test_single_cycle_node_bad_general_full_mass_matches_taxonomy():
+    # when d+1 < e2+e3 and d+1-e1 >= p every single-cycle node is bad, so the
+    # count is the single-node mass of the characteristic-0 taxonomy
+    checked = 0
+    for p in (5, 7, 11, 13):
+        for d in range(p, 2 * p):
+            for es in itertools.combinations_with_replacement(range(2, p), 4):
+                e1, e2, e3, _ = es
+                if sum(es) != 2 * d + 2 or not (d + 1 < e2 + e3 and d + 1 - e1 >= p):
+                    continue
+                mass = sum(
+                    r.subtotal
+                    for r in admissible_enumerate_char0(d, *es)
+                    if r.node.kind == "single"
+                )
+                assert single_cycle_node_bad_general(d, p, *es) == mass, (d, p, es)
+                checked += 1
+    assert checked == 125
 
 
 def test_tau_star_cancellation_spot():
@@ -252,7 +276,7 @@ def test_modified_types_have_no_separable_covers():
                 if not 2 <= eps <= p - 1:
                     continue
                 hp = p_hurwitz_3pt_badtype(p, e1, e2, eps, p)
-                assert hp == exact(0), (p, e1, e2)
+                assert hp == ReductionCount(0, 0), (p, e1, e2)
                 assert bad_count_2cycle(p, e1, e2, eps, p).value == (
                     hurwitz_formula_badtype(p, e1, e2, eps, p)
                 )

@@ -143,6 +143,121 @@ def test_group_census_output_is_pinned(name, fmt, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# SHA-256 of each subcommand's stdout, which a refactor of src/ must keep byte
+# for byte; --list writes JSON lines whatever --format says
+@pytest.mark.parametrize(
+    "argv, fmt, digest",
+    [
+        (("hurwitz", "5:2,2,4,4"), "table",
+         "e279e2b3853a73132b229aa0053b6beb6d628de6a1ea75c3d4373d2260695ab4"),
+        (("hurwitz", "5:2,2,4,4"), "json",
+         "46c0c7a372ca3f182e5d1c7d9db043f0a2f2337fc3b316bc53d9fe6e872edab5"),
+        (("hurwitz", "5:2,2,4,4"), "csv",
+         "213ce936e6985c8df51d947219d1f89b2d29a1478f12909f908ad2cf96582ee5"),
+        (("hurwitz", "6:2,5,3,4"), "table",
+         "c67a9285c5cc039d713edc6af650126ca7aedeb0a8c6e1a5030afc29ad808c06"),
+        (("hurwitz", "6:2,5,3,4"), "json",
+         "1dca1e38c1c4925b0d9f44cb191c58aa2b54f10fb634bfa68ea0118922f15548"),
+        (("hurwitz", "6:2,5,3,4"), "csv",
+         "acf4cb4c3d9b740f147d937dc4887a52f29f25a48cebfed4d9922b23b2c58c6c"),
+        (("hurwitz", "7:3,5,3,5"), "table",
+         "e6f52cc3ee5b2084e4230d099863d418061cf33cbb05a1de033c92afd78f314c"),
+        (("hurwitz", "7:3,5,3,5"), "json",
+         "37a82123018296332bd1238cecdf25e9e4d90afa37479c627d6604ac091ab230"),
+        (("hurwitz", "7:3,5,3,5"), "csv",
+         "a0355c38c5acc6a9b05db3eeb829962e4ddb0c963feca9a8e507acee691e97ee"),
+        (("hurwitz", "7:3-3,3,7"), "table",
+         "0b40e1cb29be0add77523ee5a8d2c01b23dd32fbf1e13f206568cd0ac64aa597"),
+        (("hurwitz", "7:3-3,3,7"), "json",
+         "6a481225fa51980c2e019c35e12f8cb53ca0879d420de9cff9823165192bf8b2"),
+        (("hurwitz", "7:3-3,3,7"), "csv",
+         "ce9f4b2c10301c45b0960ef6124b48fdf8adc11d0a1778ff8885f59e9795bd78"),
+        (("hurwitz", "8:2-6,8,2"), "table",
+         "6d46426297dd05b72c4c6d3d2b34c9612a81350e16fc2427ef904fba6e497414"),
+        (("hurwitz", "8:2-6,8,2"), "json",
+         "8b022f437631dd31198386c8a451919c0296f397932656f433e7769913b0a7da"),
+        (("hurwitz", "8:2-6,8,2"), "csv",
+         "84f9cf1619623583e0be0fd7d280d3ac6361bfbef5d3796b27573a20c4ee615d"),
+        (("hurwitz", "6:2,5,3,4", "--list"), "table",
+         "397dadb3c429072fc73feedb04f5e9888d4cded696bb56339ec43b2de7153945"),
+        (("hurwitz", "6:2,5,3,4", "--list"), "json",
+         "397dadb3c429072fc73feedb04f5e9888d4cded696bb56339ec43b2de7153945"),
+        (("hurwitz", "6:2,5,3,4", "--list"), "csv",
+         "397dadb3c429072fc73feedb04f5e9888d4cded696bb56339ec43b2de7153945"),
+        (("hurwitz", "7:3-3,3,7", "--list"), "table",
+         "209a66eb36eaf0aa209f9a72adce9ff195b3b3fbf1420ac0e02a6ec29454138f"),
+        (("hurwitz", "7:3-3,3,7", "--list"), "json",
+         "209a66eb36eaf0aa209f9a72adce9ff195b3b3fbf1420ac0e02a6ec29454138f"),
+        (("hurwitz", "7:3-3,3,7", "--list"), "csv",
+         "209a66eb36eaf0aa209f9a72adce9ff195b3b3fbf1420ac0e02a6ec29454138f"),
+        (("braid", "5:2,2,4,4"), "table",
+         "3456fa132e6939a79f6020ad13c502cb88b4ee39b1ada553d543c650fc770926"),
+        (("braid", "5:2,2,4,4"), "json",
+         "1c9f07a5f549ee1953f60009bddf3c8bbfd5dff2551bfaa2bd8492e272cd4c36"),
+        (("braid", "5:2,2,4,4"), "csv",
+         "6eec4971f462997b34520be342438b5fef3e51598159ab4fc27d889a8f0bde50"),
+        (("braid", "7:3,3,5,5"), "table",
+         "e35cc640f4e1d23f290d7401fd77eab511095f8c5de96c7afacf009dd2af34bc"),
+        (("braid", "7:3,3,5,5"), "json",
+         "ce8815355ec3924c32c0597174843f10a95fecf82f2a71c103d5d15f2cd2f681"),
+        (("braid", "7:3,3,5,5"), "csv",
+         "4b94528cf27c9c0f3e72c5b3bd3d60d5af9867be6849dbedf5f5547d3f8710cc"),
+        (("admissible", "7:3,3,5,5"), "table",
+         "d857fe27033c3f1394faeb14d57d4b51f8c9dc7797cb95aa7c195e220314a5d6"),
+        (("admissible", "7:3,3,5,5"), "json",
+         "1d950397536d7dc7f7f6bf209212e06e2d5734de35004b90629f2c5ca9d680c2"),
+        (("admissible", "7:3,3,5,5"), "csv",
+         "c2f15a9f17e670ba9122022668b49d8d2af61e6a64ddc4bb5f3c1fda0c9e2a53"),
+        (("admissible", "7:2,4,4,6", "--char", "7"), "table",
+         "fc1620b7dda95ccd09be5f4abaa3749c5246fb8e54402f45371d4481e95de201"),
+        (("admissible", "7:2,4,4,6", "--char", "7"), "json",
+         "31a6bc7268a43d11a87333fca0755ac0d20324f79663889841e08501b36ae356"),
+        (("admissible", "7:2,4,4,6", "--char", "7"), "csv",
+         "41de67de2fe71f9bc7a81dd37e29c37d73e66850ea0dbaa2928498b8b2e3055d"),
+        (("charp", "7:3,3,5,5"), "table",
+         "0a792e9c27678227834986a476b94c6c3ad0d2fdb5b4b4b8e4c1f94d242c91af"),
+        (("charp", "7:3,3,5,5"), "json",
+         "4a0d684f0ad6b6492565f2574d5430c7241bdcf57024adceea02f0988fee5867"),
+        (("charp", "7:3,3,5,5"), "csv",
+         "f9c8ba2627fb4a8e230621f4961df4d19302080b8a89a4ba3b10385d9a1a06b7"),
+        (("charp", "7:2,4,4,6"), "table",
+         "4e0597abd2f3534a74b2b7a5b320daae28f9c3f626126467e2bb249bfd73e991"),
+        (("charp", "7:2,4,4,6"), "json",
+         "6e500d11a5f0dc4e6fed3da12228c6d3399eb8b366228dc4aed7ed8fcdd467e2"),
+        (("charp", "7:2,4,4,6"), "csv",
+         "14e8f361c8f488444549515725fc781b816df9d7344717f92575454b0d6b0833"),
+        (("charp", "7:2-4,4,6"), "table",
+         "4f5b308afd7b6ed09da4f0e09658b7ab37c6fc4591adfd6040974a22158d4833"),
+        (("charp", "7:2-4,4,6"), "json",
+         "90cd45c98f3365b8508849fe739658a6169e8c13d80657b27aec01ac628e3827"),
+        (("charp", "7:2-4,4,6"), "csv",
+         "e75ff7afb4b76f469f48cd40030499633bb1cfb167bce69d4fdddf414ba33f35"),
+        (("defdatum", "13", "6,6,6,6"), "table",
+         "e0bdc129fbe2cfa920744fd6de9a2489e329a4663812aba806d63864439f5a77"),
+        (("defdatum", "13", "6,6,6,6"), "json",
+         "42850fd7c56da3f0c4ec8fb518bd22e28247a9754438756474840abc3f917c54"),
+        (("defdatum", "13", "6,6,6,6"), "csv",
+         "f0ff047c7a4d7703d2e8a4ec0f885e18fc8ef23658de3dc0756cc692665f988c"),
+        (("tails", "7", "3"), "table",
+         "bd760d91d950cd49eec9130740684f7053005d56f6c7d8834ed567ac0bbb947d"),
+        (("tails", "7", "3"), "json",
+         "52344038de3f860e6cb907e92a523f02d73cfddcc2bc3ef30ecd914a95736ae5"),
+        (("tails", "7", "3"), "csv",
+         "1dabbae28e8b147a884f94bde3aa4389cc8827ef5ece7b645d56b596dc44e2f2"),
+        (("tails", "7", "2-3"), "table",
+         "6dbfedf728b101d4883e222789623256904a154894adefb2b5f02f7f19e53ca8"),
+        (("tails", "7", "2-3"), "json",
+         "6d585b85f789235f075b4969f42cc0895564c50654151b1953bbc461d3df4ebb"),
+        (("tails", "7", "2-3"), "csv",
+         "2a8d04dd399e944fc4eae0bfc2a323637efb2a8f3307f577780e7b07030b5d86"),
+    ],
+)
+def test_subcommand_output_is_pinned(argv, fmt, digest):
+    code, out, _ = run_cli(*argv, "--format", fmt)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_json_output_roundtrips():
     code, out, _ = run_cli("hurwitz", "5:2,2,4,4", "--format", "json")
     assert code == 0

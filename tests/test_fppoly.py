@@ -101,7 +101,8 @@ def test_gcd_and_pow_mod():
     g = FpPoly(p, (1, 1)) * FpPoly(p, (3, 1))
     assert poly_gcd(f, g) == FpPoly(p, (1, 1))
     mod = FpPoly(p, (1, 0, 1))
-    assert pow_mod(FpPoly.x(p), p * p, mod) == pow_mod(pow_mod(FpPoly.x(p), p, mod), p, mod)
+    x = FpPoly.monomial(p, 1)
+    assert pow_mod(x, p * p, mod) == pow_mod(pow_mod(x, p, mod), p, mod)
 
 
 def test_kummer_data_validation():
@@ -151,7 +152,7 @@ def test_fp_roots():
     f = FpPoly(7, (-6, 1)) * FpPoly(7, (-2, 1)) * FpPoly(7, (1, 0, 1))
     assert fp_roots(f) == [2, 6]
     with pytest.raises(InvalidTypeError):
-        fp_roots(FpPoly.zero(7))
+        fp_roots(FpPoly(7))
 
 
 def test_squarefree_decomposition_examples():
@@ -167,6 +168,11 @@ def test_squarefree_decomposition_examples():
     g = lin3 * lin3 * lin3
     assert g.derivative().is_zero()
     assert squarefree_decomposition(g) == [(lin3, 3)]
+    # mixed, over F_3: the p-th-power part is left in c after the loop and
+    # taken by the tail recursion on its p-th root
+    a, b = FpPoly(3, (-1, 1)), FpPoly(3, (1, 0, 1))  # x+2 and x^2+1
+    assert squarefree_decomposition(a * a * a * a * b * b * b) == [(a, 4), (b, 3)]
+    assert squarefree_decomposition(a * a * a * b) == [(b, 1), (a, 3)]
 
 
 def test_distinct_degree_factorization():
@@ -208,7 +214,7 @@ def test_tail_polynomial_double_derivative_shape():
 
 def test_tail_polynomial_double_degenerate_cofactor():
     # e1 + e2 = p: empty recursion, monic constant cofactor
-    assert tail_polynomial_cofactor(7, 3, 4) == FpPoly.one(7)
+    assert tail_polynomial_cofactor(7, 3, 4) == FpPoly.monomial(7, 0)
     poly = tail_polynomial_double(7, 3, 4)
     assert poly.degree() == 7
 

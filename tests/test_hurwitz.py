@@ -15,8 +15,8 @@ from purecycle.group import fixed_point_rows, group_analyze, is_transitive
 from purecycle.hurwitz import (
     AFFINE_FP,
     HurwitzFactorization,
+    MonodromyClass,
     RamificationType,
-    alternating,
     canonical_form,
     enumerate_factorizations,
     factorization_from_json,
@@ -27,7 +27,6 @@ from purecycle.hurwitz import (
     hurwitz_formula_pure4,
     hurwitz_number_brute,
     monodromy_classify,
-    symmetric,
     _canonical_anchored,
     _orbit_minima,
     _search_generic,
@@ -202,10 +201,12 @@ def test_factorization_validation():
 def test_monodromy_classify_examples():
     assert monodromy_classify(RamificationType.pure(6, (4, 4, 5))).label == "S5 on 6 letters"
     assert monodromy_classify(pair_type(5, 2, 2, 4, 4)) == AFFINE_FP
-    assert monodromy_classify(RamificationType.pure(7, (3, 3, 5, 5))) == alternating(7)
-    assert monodromy_classify(RamificationType.pure(7, (2, 4, 4, 6))) == symmetric(7)
-    assert monodromy_classify(pair_type(7, 2, 3, 4, 7)) == symmetric(7)
-    assert monodromy_classify(pair_type(7, 3, 3, 5, 5)) == alternating(7)
+    a7 = MonodromyClass("alternating", degree=7)
+    s7 = MonodromyClass("symmetric", degree=7)
+    assert monodromy_classify(RamificationType.pure(7, (3, 3, 5, 5))) == a7
+    assert monodromy_classify(RamificationType.pure(7, (2, 4, 4, 6))) == s7
+    assert monodromy_classify(pair_type(7, 2, 3, 4, 7)) == s7
+    assert monodromy_classify(pair_type(7, 3, 3, 5, 5)) == a7
 
 
 def test_monodromy_classify_rejects_uncovered_shapes():
@@ -224,8 +225,8 @@ def test_monodromy_matches_computed_groups_small():
                 assert report.order == 120
             elif expected.kind == "affine":
                 assert report.order == 20
-    assert galois_factor(alternating(7)) == 2
-    assert galois_factor(symmetric(7)) == 1
+    assert galois_factor(MonodromyClass("alternating", degree=7)) == 2
+    assert galois_factor(MonodromyClass("symmetric", degree=7)) == 1
     with pytest.raises(InvalidTypeError):
         galois_factor(AFFINE_FP)
 

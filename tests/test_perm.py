@@ -163,7 +163,7 @@ def test_centralizer_elements_commute_and_count():
 
 def test_centralizer_elements_guard():
     with pytest.raises(BoundExceededError):
-        centralizer_elements(identity(11), limit=10**6)
+        centralizer_elements(identity(11))
 
 
 def test_class_size_matches_brute_force_d_le_7():
