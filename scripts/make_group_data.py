@@ -1,11 +1,15 @@
 #!/usr/bin/env python3
 """Regenerate src/purecycle/data/pgammal2_16.txt and re-verify all data files.
 
-The library never constructs these groups symbolically; this one-off script
-documents where the shipped generators come from.  PGammaL(2,16) is built
-from scratch as the semilinear action on the projective line over F_16; the
-Mathieu generators are the standard GAP-library pairs, checked here against
-their known orders.
+The library never constructs these groups symbolically; this script documents
+where the shipped generators come from.  PGammaL(2,16) is built from scratch
+as the semilinear action on the projective line over F_16; the Mathieu
+generators are the standard GAP-library pairs, checked here against their
+known orders.
+
+Prints the PGammaL(2,16) generators and one line per data file, and exits 1
+when a group order is wrong or the shipped PGammaL(2,16) file does not hold
+exactly the generators built here.
 """
 import sys
 from pathlib import Path
@@ -13,7 +17,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from purecycle.group import StabilizerChain, load_generators
-from purecycle.perm import format_cycles, is_permutation
+from purecycle.perm import format_cycles
 
 DATA = Path(__file__).resolve().parent.parent / "src" / "purecycle" / "data"
 
@@ -59,23 +63,38 @@ def pgammal2_16_generators():
     def frob(p):
         return INF if p == INF else gf16_mul(p, p)
 
-    gens = [tuple(f(p) for p in range(17)) for f in (add_one, mul_g, inv_pt, frob)]
-    assert all(is_permutation(g) for g in gens)
-    assert StabilizerChain(gens[:3], 17).order() == 4080  # PSL(2,16)
-    assert StabilizerChain(gens, 17).order() == 16320
-    return gens
+    return [tuple(f(p) for p in range(17)) for f in (add_one, mul_g, inv_pt, frob)]
 
 
-def main() -> None:
-    for g in pgammal2_16_generators():
-        print(format_cycles(g))
+def main() -> int:
+    gens = pgammal2_16_generators()
+    if any(sorted(g) != list(range(17)) for g in gens):
+        print("PGammaL(2,16): a generator is not a permutation of 17 points")
+        return 1
+    ok = True
+    lines = [format_cycles(g) for g in gens]
+    print("\n".join(lines))
+    psl = StabilizerChain(gens[:3], 17).order()
+    if psl != 4080:
+        print(f"PSL(2,16): order {psl} MISMATCH (expected 4080)")
+        ok = False
+    shipped = [
+        line.strip()
+        for line in (DATA / "pgammal2_16.txt").read_text().splitlines()
+        if line.strip() and not line.strip().startswith("#")
+    ]
+    if shipped != ["degree: 17", *lines]:
+        print("pgammal2_16.txt: generators differ from the ones built here")
+        ok = False
     expected = {"pgammal2_16.txt": 16320, "m11.txt": 7920, "m23.txt": 10200960}
     for name, order in expected.items():
-        degree, gens = load_generators(DATA / name)
-        got = StabilizerChain(gens, degree).order()
+        degree, file_gens = load_generators(DATA / name)
+        got = StabilizerChain(file_gens, degree).order()
         status = "ok" if got == order else f"MISMATCH (expected {order})"
+        ok = ok and got == order
         print(f"{name}: degree {degree}, order {got} {status}")
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -24,7 +24,6 @@ from .group import (
     GroupReport,
     StabilizerChain,
     cycle_type_census,
-    element_closure,
     group_analyze,
     is_transitive,
     load_generators,

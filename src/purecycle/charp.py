@@ -32,7 +32,6 @@ from .arith import require_prime
 from .braid import admissible_enumerate_char0
 from .errors import InvalidTypeError
 from .hurwitz import hurwitz_formula_badtype, hurwitz_formula_pure4
-from .perm import CycleType
 
 
 @dataclass(frozen=True)
@@ -102,14 +101,12 @@ def _delta_undetermined(e1: int, e2: int, e3: int) -> bool:
     return (e1 + e2) % 2 == 0 and e3 % 2 == 0
 
 
-def tail_invariants(p: int, tail_class: Sequence[int] | CycleType) -> TailInvariants:
+def tail_invariants(p: int, tail_class: Sequence[int]) -> TailInvariants:
     """(h, m) for the tail of a single-cycle class e or a pair e1-e2.
 
     A p-cycle class has no tail and is rejected.
     """
     require_prime(p)
-    if isinstance(tail_class, CycleType):
-        tail_class = tail_class.lengths
     return _tail_invariants(p, tuple(sorted(tail_class)))
 
 
@@ -159,7 +156,7 @@ def signature_check(p: int, classes: Sequence[Sequence[int]]) -> bool:
         raise InvalidTypeError("signature identity applies to r in {3, 4}")
     tails = []
     for cl in classes:
-        lengths = tuple(cl.lengths if isinstance(cl, CycleType) else cl)
+        lengths = tuple(cl)
         if lengths != (p,):
             tails.append(tail_invariants(p, lengths))
     lcm = math.lcm(*(ti.m for ti in tails))
@@ -256,13 +253,19 @@ def _validate_sorted_pure4(p: int, es: tuple[int, int, int, int]) -> None:
         raise InvalidTypeError("genus-0 condition violated")
 
 
+def bad_single_node(p: int, e3: int, e4: int) -> int:
+    """m of the one single-cycle node *m of (p; e1,e2,*,e3,e4) whose
+    admissible covers reduce badly: m = 2p+1-e3-e4."""
+    return 2 * p + 1 - e3 - e4
+
+
 def admissible_reduction_census(
     p: int, e1: int, e2: int, e3: int, e4: int
 ) -> tuple[ReductionCount, ReductionCount]:
     """(good, bad) admissible covers of (p; e1,e2,*,e3,e4) in characteristic p,
     counted with multiplicity.
 
-    Exactly one single-cycle node is bad, m = 2p+1-e3-e4, contributing its
+    Exactly one single-cycle node is bad (bad_single_node), contributing its
     multiplicity m; two-cycle nodes contribute p+1-e1-e2 bad covers whether or
     not e1 = e2 (the gluing factor 2 cancels the halving), so bad = p unless
     e1+e2 and e3 are both even, when only {p, 2p+1-e3-e4 + 2(p+1-e1-e2)} can
@@ -272,7 +275,7 @@ def admissible_reduction_census(
     es = (e1, e2, e3, e4)
     _validate_sorted_pure4(p, es)
     h = hurwitz_formula_pure4(p, es)
-    single_bad = 2 * p + 1 - e3 - e4
+    single_bad = bad_single_node(p, e3, e4)
     n = p + 1 - e1 - e2
     if (p, *es) == _EXCLUDED_2CYCLE:
         pair_total = next(

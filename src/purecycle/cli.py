@@ -22,6 +22,7 @@ from .braid import admissible_enumerate_char0, braid_orbits, degenerate
 from .charp import (
     admissible_reduction_census,
     bad_count_2cycle,
+    bad_single_node,
     good_degeneration,
     p_hurwitz_3pt_badtype,
     p_hurwitz_pure4,
@@ -129,6 +130,8 @@ def _formula_count(t: RamificationType) -> int:
 
 
 def cmd_hurwitz(args, cfg: RunConfig, out) -> int:
+    if args.list and (args.format != "table" or args.mode != "both"):
+        raise InvalidTypeError("--list writes JSON lines and takes no --format or --mode")
     t = RamificationType.parse(args.type)
     if t.genus() != 0:
         raise InvalidTypeError(f"{t} is not a genus-0 type (genus {t.genus()})")
@@ -184,7 +187,7 @@ def cmd_admissible(args, cfg: RunConfig, out) -> int:
         p = args.char
         if t.degree != p:
             raise InvalidTypeError("reduction census needs degree equal to the characteristic")
-        bad_m = 2 * p + 1 - es[2] - es[3]
+        bad_m = bad_single_node(p, es[2], es[3])
         for r, row in zip(taxonomy, rows):
             if r.node.kind == "single":
                 row["reduction"] = "bad" if r.node.m == bad_m else "good"
@@ -322,7 +325,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("type", help="e.g. 5:2,2,4,4 or 7:3-3,3,7")
     p.add_argument("--mode", choices=("formula", "brute", "both"), default="both")
     p.add_argument("--list", action="store_true",
-                   help="emit the enumerated factorizations as JSON lines instead")
+                   help="emit the enumerated factorizations as JSON lines instead "
+                   "(no --format or --mode)")
     add_common(p)
     p.set_defaults(fn=cmd_hurwitz)
 

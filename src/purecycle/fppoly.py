@@ -153,13 +153,6 @@ class FpPoly:
             raise InvalidTypeError("not a polynomial in x^p")
         return FpPoly(self.p, self.coeffs[:: self.p])
 
-    def to_json(self) -> dict:
-        return {"p": self.p, "coeffs": list(self.coeffs)}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "FpPoly":
-        return cls(obj["p"], obj["coeffs"])
-
     def to_string(self, var: str = "x") -> str:
         """Ascending powers, zero terms suppressed, e.g. ``1 + 4*x + x^2``."""
         if self.is_zero():

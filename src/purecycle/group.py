@@ -2,8 +2,9 @@
 
 The workhorse is a deterministic Schreier-Sims stabilizer chain (base points
 chosen smallest-first, BFS orbits, generators processed in list order), so
-repeated runs produce identical data.  An exhaustive closure is provided as an
-independent oracle for small groups.
+repeated runs produce identical data.  The tests check it against an
+exhaustive closure, an independent oracle for small groups kept in
+``tests/conftest.py``.
 
 Generator data files are plain text: a ``degree: n`` header, then one
 permutation per line in 1-based disjoint-cycle notation.  Lines starting with
@@ -160,35 +161,34 @@ class StabilizerChain:
         residue, _ = self._strip(g, 0)
         return residue == identity(self.degree)
 
-    def elements(self) -> Iterator[Perm]:
-        """Every group element exactly once, via transversal products."""
-        ident = identity(self.degree)
+    def elements(self, levels: int | None = None) -> Iterator[Perm]:
+        """Each product u_0 u_1 ... u_(k-1) of one transversal element per level
+        over the first k = levels levels, exactly once.  Over all levels (the
+        default) these are the group's elements."""
+        if levels is None:
+            levels = len(self.base)
 
         def rec(level: int, prefix: Perm) -> Iterator[Perm]:
-            if level == len(self.base):
+            if level == levels:
                 yield prefix
                 return
             trans = self.transversals[level]
             for pt in sorted(trans):
                 yield from rec(level + 1, compose(prefix, trans[pt]))
 
-        yield from rec(0, ident)
+        yield from rec(0, identity(self.degree))
 
 
-def orbit_of(point: int, generators: Sequence[Perm]) -> set[int]:
-    orbit = {point}
-    queue = [point]
+def is_transitive(generators: Sequence[Perm], degree: int) -> bool:
+    orbit = {0}
+    queue = [0]
     for a in queue:
         for g in generators:
             b = g[a]
             if b not in orbit:
                 orbit.add(b)
                 queue.append(b)
-    return orbit
-
-
-def is_transitive(generators: Sequence[Perm], degree: int) -> bool:
-    return len(orbit_of(0, generators)) == degree
+    return len(orbit) == degree
 
 
 def group_analyze(
@@ -215,24 +215,6 @@ def group_analyze(
         is_transitive=is_transitive(generators, degree),
         classification=classification,
     )
-
-
-def element_closure(generators: Sequence[Perm], cap: int) -> set[Perm]:
-    """Exhaustive closure under multiplication; oracle for small orders."""
-    if not generators:
-        raise InvalidTypeError("at least one generator required")
-    degree = len(generators[0])
-    seen = {identity(degree)}
-    frontier = [identity(degree)]
-    for g in frontier:
-        for s in generators:
-            h = compose(s, g)
-            if h not in seen:
-                if len(seen) >= cap:
-                    raise BoundExceededError(f"closure exceeded cap {cap}")
-                seen.add(h)
-                frontier.append(h)
-    return seen
 
 
 def cycle_type_census(
@@ -302,8 +284,8 @@ def _census_batched(chain: StabilizerChain) -> Counter[tuple[int, ...]]:
 
     counts: Counter[tuple[int, ...]] = Counter()
     half = max(degree // 2, 1)
-
-    def count_chunk(batch: np.ndarray) -> None:
+    for prefix in chain.elements(split):
+        batch = np.asarray(prefix, dtype=np.int16)[inner]
         fixed = fixed_point_rows(batch, half)
         # Each row is keyed by its raw bytes as one fixed-width record: exact
         # at any degree, and a 1-D sort, which is several times faster than
@@ -312,16 +294,6 @@ def _census_batched(chain: StabilizerChain) -> Counter[tuple[int, ...]]:
         _, first, cnt = np.unique(keys, return_index=True, return_counts=True)
         for i, n in zip(first.tolist(), cnt.tolist()):
             counts[cycle_lengths(batch[i].tolist())] += n
-
-    def rec(level: int, prefix: Perm) -> None:
-        if level == split:
-            count_chunk(np.asarray(prefix, dtype=np.int16)[inner])
-            return
-        trans = chain.transversals[level]
-        for pt in sorted(trans):
-            rec(level + 1, compose(prefix, trans[pt]))
-
-    rec(0, identity(degree))
     return counts
 
 

@@ -31,17 +31,6 @@ def identity(degree: int) -> Perm:
     return tuple(range(degree))
 
 
-def is_permutation(word: Sequence[int]) -> bool:
-    """Check that word is a bijection of {0..len(word)-1}."""
-    n = len(word)
-    seen = [False] * n
-    for x in word:
-        if not isinstance(x, int) or not 0 <= x < n or seen[x]:
-            return False
-        seen[x] = True
-    return True
-
-
 def compose(a: Perm, b: Perm) -> Perm:
     """Product ab under the apply-b-first convention: (ab)(x) = a(b(x))."""
     if len(a) != len(b):
@@ -74,10 +63,6 @@ def conjugate(s: Perm, g: Perm) -> Perm:
     for x, y in enumerate(g):
         out[s[x]] = s[y]
     return tuple(out)
-
-
-def perm_order(g: Perm) -> int:
-    return math.lcm(*(len(c) for c in cycles(g))) if any(y != x for x, y in enumerate(g)) else 1
 
 
 def cycles(g: Perm) -> list[tuple[int, ...]]:
@@ -305,9 +290,3 @@ def all_of_type(t: CycleType) -> Iterator[Perm]:
                     images[p] = p
 
     yield from next_group(tuple(range(degree)), 0, list(range(degree)))
-
-
-def random_perm(rng, degree: int) -> Perm:
-    word = list(range(degree))
-    rng.shuffle(word)
-    return tuple(word)

@@ -1,18 +1,52 @@
-"""Shared test helpers, including an independent brute-force reference for
-Hurwitz counts (full class product, orbit dedup under all of S_d)."""
+"""Shared test helpers, including independent brute-force references for
+Hurwitz counts (full class product, orbit dedup under all of S_d) and for
+permutation groups (exhaustive closure)."""
 from __future__ import annotations
 
+import math
 from operator import itemgetter
+from typing import Sequence
 
+from purecycle.errors import BoundExceededError, InvalidTypeError
 from purecycle.hurwitz import RamificationType
 from purecycle.perm import (
+    Perm,
     all_of_type,
     compose,
     conjugate,
+    cycles,
     from_cycles,
     identity,
     inverse,
 )
+
+
+def random_perm(rng, degree: int) -> Perm:
+    word = list(range(degree))
+    rng.shuffle(word)
+    return tuple(word)
+
+
+def perm_order(g: Perm) -> int:
+    return math.lcm(*(len(c) for c in cycles(g))) if any(y != x for x, y in enumerate(g)) else 1
+
+
+def element_closure(generators: Sequence[Perm], cap: int) -> set[Perm]:
+    """Exhaustive closure under multiplication; oracle for small orders."""
+    if not generators:
+        raise InvalidTypeError("at least one generator required")
+    degree = len(generators[0])
+    seen = {identity(degree)}
+    frontier = [identity(degree)]
+    for g in frontier:
+        for s in generators:
+            h = compose(s, g)
+            if h not in seen:
+                if len(seen) >= cap:
+                    raise BoundExceededError(f"closure exceeded cap {cap}")
+                seen.add(h)
+                frontier.append(h)
+    return seen
 
 
 def _transitive(perms, degree) -> bool:

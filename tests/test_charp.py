@@ -34,10 +34,6 @@ def test_tail_invariants_single():
     assert (ti.h, ti.m, ti.sigma) == (1, 3, Fraction(1, 3))
 
 
-def test_tail_invariants_accepts_cycle_type():
-    assert tail_invariants(7, CycleType(7, (3,))).h == 2
-
-
 def test_tail_invariants_rejections():
     with pytest.raises(InvalidTypeError):
         tail_invariants(7, (7,))  # p-cycle has no tail
@@ -51,7 +47,7 @@ def test_tail_invariants_rejections():
 
 def test_tail_invariants_accepts_lists_and_keeps_rejecting():
     assert tail_invariants(7, [3, 2]) == tail_invariants(7, (2, 3))
-    assert tail_invariants(7, [4]) == tail_invariants(7, CycleType(7, (4,)))
+    assert tail_invariants(7, [4]) == tail_invariants(7, (4,))
     for _ in range(2):  # a rejection is not cached as a result
         with pytest.raises(InvalidTypeError):
             tail_invariants(7, [4, 4])

@@ -1,16 +1,18 @@
+import contextlib
 import hashlib
+import importlib.util
 import io
 import json
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
+import purecycle.cli
 from purecycle.cli import main
 
 
 def run_cli(*argv):
-    import contextlib
-
     out = io.StringIO()
     err = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -144,7 +146,7 @@ def test_group_census_output_is_pinned(name, fmt, digest):
 
 
 # SHA-256 of each subcommand's stdout, which a refactor of src/ must keep byte
-# for byte; --list writes JSON lines whatever --format says
+# for byte
 @pytest.mark.parametrize(
     "argv, fmt, digest",
     [
@@ -180,16 +182,16 @@ def test_group_census_output_is_pinned(name, fmt, digest):
          "84f9cf1619623583e0be0fd7d280d3ac6361bfbef5d3796b27573a20c4ee615d"),
         (("hurwitz", "6:2,5,3,4", "--list"), "table",
          "397dadb3c429072fc73feedb04f5e9888d4cded696bb56339ec43b2de7153945"),
-        (("hurwitz", "6:2,5,3,4", "--list"), "json",
-         "397dadb3c429072fc73feedb04f5e9888d4cded696bb56339ec43b2de7153945"),
-        (("hurwitz", "6:2,5,3,4", "--list"), "csv",
-         "397dadb3c429072fc73feedb04f5e9888d4cded696bb56339ec43b2de7153945"),
+        (("hurwitz", "5:2,2,4,4", "--list"), "table",
+         "014a5e69c76727bb4cc93827cb8d70247ff1ce45043b9ba5323eff9b7221eb18"),
+        (("hurwitz", "7:3,5,3,5", "--list"), "table",
+         "f336d666cab64e9a46be84c9ec9d560067c1ee49b1ce4ac7381f5642756df42d"),
         (("hurwitz", "7:3-3,3,7", "--list"), "table",
          "209a66eb36eaf0aa209f9a72adce9ff195b3b3fbf1420ac0e02a6ec29454138f"),
-        (("hurwitz", "7:3-3,3,7", "--list"), "json",
-         "209a66eb36eaf0aa209f9a72adce9ff195b3b3fbf1420ac0e02a6ec29454138f"),
-        (("hurwitz", "7:3-3,3,7", "--list"), "csv",
-         "209a66eb36eaf0aa209f9a72adce9ff195b3b3fbf1420ac0e02a6ec29454138f"),
+        (("hurwitz", "8:2-6,8,2", "--list"), "table",
+         "c06e42648b8c90f443bd3a494f26aa6dcf830f8180d575236aeb9e8212bac7f4"),
+        (("hurwitz", "7:3,3,5,5", "--list"), "table",
+         "ed5593f85c62002aff0d832bdd06b4d749da6830cbbd9e727ad9fc291d19a69a"),
         (("braid", "5:2,2,4,4"), "table",
          "3456fa132e6939a79f6020ad13c502cb88b4ee39b1ada553d543c650fc770926"),
         (("braid", "5:2,2,4,4"), "json",
@@ -258,6 +260,25 @@ def test_subcommand_output_is_pinned(argv, fmt, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("6:2,5,3,4", "--list", "--format", "json"),
+        ("6:2,5,3,4", "--list", "--format", "csv"),
+        ("7:3-3,3,7", "--list", "--format", "json"),
+        ("7:3-3,3,7", "--list", "--format", "csv"),
+        ("5:2,2,4,4", "--list", "--mode", "formula"),
+        ("5:2,2,4,4", "--list", "--mode", "brute"),
+    ],
+    ids=lambda argv: f"{argv[0]}-{argv[3]}",
+)
+def test_hurwitz_list_rejects_format_and_mode(argv):
+    code, out, err = run_cli("hurwitz", *argv)
+    assert code == 2
+    assert out == ""
+    assert err == "error: --list writes JSON lines and takes no --format or --mode\n"
+
+
 def test_json_output_roundtrips():
     code, out, _ = run_cli("hurwitz", "5:2,2,4,4", "--format", "json")
     assert code == 0
@@ -316,3 +337,22 @@ def test_hurwitz_list_emits_json_lines():
 
     parsed = [factorization_from_json(json.loads(line)) for line in lines]
     assert all(f.degree == 5 for f in parsed)
+
+
+def test_benchmark_tracer_resolves_every_boundary():
+    """perfbench/tracer.py wraps purecycle functions by name; installing it
+    fails when a name it targets is gone from src/."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer_mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer_mod)
+    original_main = purecycle.cli.main
+    tracer = tracer_mod.Tracer()
+    try:
+        tracer.install()
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert purecycle.cli.main(["tails", "7", "3"]) == 0
+        assert tracer.stats["cli.main"].calls == 1
+    finally:
+        tracer.uninstall()
+    assert purecycle.cli.main is original_main

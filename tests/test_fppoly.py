@@ -231,9 +231,3 @@ def test_ramification_profile_rejections():
     with pytest.raises(InvalidTypeError):
         # f = 2y^3 + 2y has f' = y^2 + 2, which has no roots mod 5
         ramification_profile(FpPoly(5, (0, 2, 0, 2)))
-
-
-def test_fppoly_json_roundtrip():
-    f = FpPoly(7, (3, 0, 5, 1))
-    assert f.to_json() == {"p": 7, "coeffs": [3, 0, 5, 1]}
-    assert FpPoly.from_json(f.to_json()) == f

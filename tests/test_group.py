@@ -8,13 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import element_closure, perm_order, random_perm
 from purecycle import group
 from purecycle.errors import BoundExceededError, InvalidTypeError
 from purecycle.group import (
     GroupReport,
     StabilizerChain,
     cycle_type_census,
-    element_closure,
     fixed_point_rows,
     group_analyze,
     is_transitive,
@@ -28,8 +28,6 @@ from purecycle.perm import (
     from_cycles,
     identity,
     parse_cycles,
-    perm_order,
-    random_perm,
 )
 
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import reference_hurwitz_count
+from conftest import random_perm, reference_hurwitz_count
 from purecycle.errors import BoundExceededError, InvalidTypeError
 from purecycle.group import fixed_point_rows, group_analyze, is_transitive
 from purecycle.hurwitz import (
@@ -43,7 +43,6 @@ from purecycle.perm import (
     conjugate,
     cycle_lengths,
     identity,
-    random_perm,
 )
 
 
