@@ -29,9 +29,7 @@ from .group import (
     load_generators,
 )
 from .hurwitz import (
-    AFFINE_FP,
     HurwitzFactorization,
-    MonodromyClass,
     RamificationType,
     canonical_form,
     enumerate_factorizations,

@@ -47,8 +47,8 @@ class FpPoly:
     # -- basics --------------------------------------------------------------
 
     @classmethod
-    def monomial(cls, p: int, k: int, c: int = 1) -> "FpPoly":
-        return cls(p, (0,) * k + (c,))
+    def monomial(cls, p: int, k: int) -> "FpPoly":
+        return cls(p, (0,) * k + (1,))
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -61,8 +61,6 @@ class FpPoly:
         return self.coeffs[k] if 0 <= k < len(self.coeffs) else 0
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, int):
-            other = FpPoly(self.p, (other,))
         return (
             isinstance(other, FpPoly)
             and self.p == other.p

@@ -38,17 +38,23 @@ _CENSUS_CHUNK = 5 * 10**5
 
 @dataclass(frozen=True)
 class GroupReport:
+    """A permutation group of the given degree, described by its order and
+    whether it is transitive."""
+
     degree: int
     order: int
     is_transitive: bool
-    classification: str  # "symmetric" | "alternating" | "other"
 
-    def __post_init__(self):
+    @property
+    def classification(self) -> str:
+        """"symmetric" at order d!, "alternating" at d!/2 (A_d is the only
+        subgroup of index 2 in S_d), "other" otherwise."""
         full = math.factorial(self.degree)
-        if self.classification == "symmetric" and self.order != full:
-            raise InvalidTypeError("symmetric classification requires order d!")
-        if self.classification == "alternating" and 2 * self.order != full:
-            raise InvalidTypeError("alternating classification requires order d!/2")
+        if self.order == full:
+            return "symmetric"
+        if 2 * self.order == full:
+            return "alternating"
+        return "other"
 
 
 class StabilizerChain:
@@ -194,27 +200,14 @@ def is_transitive(generators: Sequence[Perm], degree: int) -> bool:
 def group_analyze(
     generators: Sequence[Perm], order_cap: int = DEFAULT_ORDER_CAP
 ) -> GroupReport:
-    """Exact order, transitivity and symmetric/alternating classification."""
+    """Exact order and transitivity of the group the generators generate."""
     if not generators:
         raise InvalidTypeError("at least one generator required")
     degree = len(generators[0])
-    chain = StabilizerChain(generators, degree)
-    order = chain.order()
+    order = StabilizerChain(generators, degree).order()
     if order > order_cap:
         raise BoundExceededError(f"group order {order} exceeds cap {order_cap}")
-    full = math.factorial(degree)
-    if order == full:
-        classification = "symmetric"
-    elif 2 * order == full:
-        classification = "alternating"
-    else:
-        classification = "other"
-    return GroupReport(
-        degree=degree,
-        order=order,
-        is_transitive=is_transitive(generators, degree),
-        classification=classification,
-    )
+    return GroupReport(degree, order, is_transitive(generators, degree))
 
 
 def cycle_type_census(

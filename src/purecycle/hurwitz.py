@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -46,7 +47,7 @@ import numpy as np
 
 from .arith import is_prime
 from .errors import BoundExceededError, InvalidTypeError
-from .group import fixed_point_rows, is_transitive
+from .group import GroupReport, fixed_point_rows, is_transitive
 from .perm import (
     CycleType,
     Perm,
@@ -157,44 +158,13 @@ class HurwitzFactorization:
         return self.perms < other.perms
 
 
-@dataclass(frozen=True)
-class MonodromyClass:
-    """Galois group of the Galois closure, as a closed label set."""
-
-    kind: str  # "symmetric" | "alternating" | "affine" | "exceptional"
-    degree: int | None = None
-    label: str | None = None
-
-    _KINDS = ("symmetric", "alternating", "affine", "exceptional")
-
-    def __post_init__(self):
-        if self.kind not in self._KINDS:
-            raise InvalidTypeError(f"unknown monodromy kind {self.kind!r}")
-        if self.kind in ("symmetric", "alternating") and self.degree is None:
-            raise InvalidTypeError(f"{self.kind} monodromy needs a degree")
-        if self.kind == "exceptional" and not self.label:
-            raise InvalidTypeError("exceptional monodromy needs a label")
-
-    def __str__(self) -> str:
-        if self.kind == "symmetric":
-            return f"S{self.degree}"
-        if self.kind == "alternating":
-            return f"A{self.degree}"
-        if self.kind == "affine":
-            return "F_p:F_p^*"
-        return self.label or "exceptional"
-
-
-AFFINE_FP = MonodromyClass("affine")
-
-
-def galois_factor(c: MonodromyClass) -> int:
+def galois_factor(monodromy: GroupReport) -> int:
     """Galois covers per mere cover: 2 for alternating monodromy, 1 for symmetric."""
-    if c.kind == "alternating":
+    if monodromy.classification == "alternating":
         return 2
-    if c.kind == "symmetric":
+    if monodromy.classification == "symmetric":
         return 1
-    raise InvalidTypeError(f"no Galois factor for monodromy {c}")
+    raise InvalidTypeError(f"no Galois factor for monodromy {monodromy}")
 
 
 # -- closed formulas ---------------------------------------------------------
@@ -238,17 +208,20 @@ def hurwitz_formula_badtype(d: int, e1: int, e2: int, e3: int, e4: int) -> int:
     return value
 
 
-_EXCEPTIONAL_PURE = (6, (4, 4, 5))
-_EXCEPTIONAL_PAIR = (5, (2, 2), (4, 4))
+# Each exceptional monodromy group is the only transitive group of its degree
+# and order, so the report names it.
+_EXCEPTIONAL_PURE = (6, (4, 4, 5))  # S_5 acting on 6 points, order 120
+_EXCEPTIONAL_PAIR = (5, (2, 2), (4, 4))  # the affine group F_5 : F_5^*, order 20
 
 
-def monodromy_classify(t: RamificationType) -> MonodromyClass:
-    """Monodromy group of a genus-0 pure-cycle cover, or of a prime-degree
-    cover with a single two-cycle class.
+def monodromy_classify(t: RamificationType) -> GroupReport:
+    """The GroupReport that group_analyze computes for the monodromy group of
+    every genus-0 pure-cycle cover of type t, or of every prime-degree cover
+    with a single two-cycle class.
 
-    Pure-cycle: alternating iff every exponent is odd, symmetric otherwise,
-    except (6; 4,4,5) whose monodromy is S_5 acting on 6 letters.  Two-cycle
-    shape (p; e1-e2, e3, e4): alternating iff e3, e4 are odd and e1+e2 even,
+    Pure-cycle: A_d iff every exponent is odd, S_d otherwise, except (6; 4,4,5)
+    whose monodromy is S_5 acting on 6 points.  Two-cycle shape
+    (p; e1-e2, e3, e4): A_p iff e3, e4 are odd and e1+e2 even, S_p otherwise,
     except (5; 2-2, 4,4) with affine monodromy F_5 : F_5^*.
     """
     d = t.degree
@@ -257,26 +230,23 @@ def monodromy_classify(t: RamificationType) -> MonodromyClass:
             raise InvalidTypeError("pure-cycle classifier needs a genus-0 type")
         es = t.exponents
         if (d, tuple(sorted(es))) == _EXCEPTIONAL_PURE:
-            return MonodromyClass("exceptional", label="S5 on 6 letters")
-        if all(e % 2 for e in es):
-            return MonodromyClass("alternating", degree=d)
-        return MonodromyClass("symmetric", degree=d)
-
-    exponents = t.two_cycle_exponents()
-    if exponents is None:
-        raise InvalidTypeError(f"type {t} is outside the classified shapes")
-    if not is_prime(d):
-        raise InvalidTypeError("two-cycle classifier needs prime degree")
-    e1, e2, e3, e4 = exponents
-    if e1 + e2 > d:
-        raise InvalidTypeError("two-cycle classifier needs e1+e2 <= p")
-    if t.genus() != 0:
-        raise InvalidTypeError("two-cycle classifier needs a genus-0 type")
-    if (d, (e1, e2), (e3, e4)) == _EXCEPTIONAL_PAIR:
-        return AFFINE_FP
-    if e3 % 2 and e4 % 2 and (e1 + e2) % 2 == 0:
-        return MonodromyClass("alternating", degree=d)
-    return MonodromyClass("symmetric", degree=d)
+            return GroupReport(6, 120, True)
+        alternating = all(e % 2 for e in es)
+    else:
+        exponents = t.two_cycle_exponents()
+        if exponents is None:
+            raise InvalidTypeError(f"type {t} is outside the classified shapes")
+        if not is_prime(d):
+            raise InvalidTypeError("two-cycle classifier needs prime degree")
+        e1, e2, e3, e4 = exponents
+        if e1 + e2 > d:
+            raise InvalidTypeError("two-cycle classifier needs e1+e2 <= p")
+        if t.genus() != 0:
+            raise InvalidTypeError("two-cycle classifier needs a genus-0 type")
+        if (d, (e1, e2), (e3, e4)) == _EXCEPTIONAL_PAIR:
+            return GroupReport(5, 20, True)
+        alternating = e3 % 2 and e4 % 2 and (e1 + e2) % 2 == 0
+    return GroupReport(d, math.factorial(d) // (2 if alternating else 1), True)
 
 
 # -- enumeration -------------------------------------------------------------

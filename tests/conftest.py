@@ -7,7 +7,7 @@ import math
 from operator import itemgetter
 from typing import Sequence
 
-from purecycle.errors import BoundExceededError, InvalidTypeError
+from purecycle.errors import BoundExceededError
 from purecycle.hurwitz import RamificationType
 from purecycle.perm import (
     Perm,
@@ -33,8 +33,6 @@ def perm_order(g: Perm) -> int:
 
 def element_closure(generators: Sequence[Perm], cap: int) -> set[Perm]:
     """Exhaustive closure under multiplication; oracle for small orders."""
-    if not generators:
-        raise InvalidTypeError("at least one generator required")
     degree = len(generators[0])
     seen = {identity(degree)}
     frontier = [identity(degree)]

@@ -32,6 +32,35 @@ def test_hurwitz_formula_badtype():
     assert out.splitlines()[-1].split()[-1] == "1"
 
 
+def test_hurwitz_formula_three_points():
+    code, out, _ = run_cli("hurwitz", "5:2,4,5", "--mode", "formula")
+    assert code == 0
+    assert out.splitlines()[-1].split() == ["5:2,4,5", "formula", "1"]
+
+
+@pytest.mark.parametrize(
+    "argv, env, err",
+    [
+        (("hurwitz", "5:2,2,2,2,2,2,2,2", "--mode", "formula"), {},
+         "closed formulas cover 3 or 4 branch points only"),
+        (("hurwitz", "3:3,3,3,3", "--mode", "brute"), {},
+         "3:3,3,3,3 is not a genus-0 type (genus 2)"),
+        (("admissible", "5:2,4,5"), {},
+         "admissible taxonomy needs a pure-cycle 4-point type"),
+        (("charp", "5:2,4,5"), {},
+         "type 5:2,4,5 is outside the characteristic-p results"),
+        (("tails", "7", "3"), {"PURECYCLE_MAX_DEGREE": "2"},
+         "degree bounds below 3 are meaningless"),
+    ],
+    ids=["formula-many-points", "brute-genus-2", "admissible-triple", "charp-triple",
+         "degree-bound-below-3"],
+)
+def test_validation_errors_exit2(argv, env, err, monkeypatch):
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    assert run_cli(*argv) == (2, "", f"error: {err}\n")
+
+
 def test_hurwitz_genus_validation_exit2():
     code, _, err = run_cli("hurwitz", "9:2,2,4,4", "--mode", "brute")
     assert code == 2

@@ -59,7 +59,8 @@ def test_chain_order_matches_closure_battery():
 
 def test_group_analyze_s5():
     report = group_analyze([parse_cycles(5, "(1,2)"), parse_cycles(5, "(1,2,3,4,5)")])
-    assert report == GroupReport(5, 120, True, "symmetric")
+    assert report == GroupReport(5, 120, True)
+    assert report.classification == "symmetric"
 
 
 def test_group_analyze_a5_from_two_3cycles():
@@ -101,10 +102,23 @@ def test_closure_cap_guard():
         element_closure(s_n_gens(8), cap=1000)
 
 
-@pytest.mark.parametrize("fn", [cycle_type_census, element_closure])
-def test_empty_generator_list_is_rejected(fn):
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: cycle_type_census([], 10),
+        lambda: group_analyze([]),
+        lambda: StabilizerChain([], 5),
+    ],
+    ids=["cycle_type_census", "group_analyze", "StabilizerChain"],
+)
+def test_empty_generator_list_is_rejected(call):
     with pytest.raises(InvalidTypeError, match="at least one generator required"):
-        fn([], 10)
+        call()
+
+
+def test_chain_rejects_generators_of_another_degree():
+    with pytest.raises(InvalidTypeError, match="generators must share the chain degree"):
+        StabilizerChain([identity(5), identity(4)], 5)
 
 
 def test_pgammal2_16_order_and_closure():

@@ -11,11 +11,9 @@ from hypothesis import strategies as st
 
 from conftest import random_perm, reference_hurwitz_count
 from purecycle.errors import BoundExceededError, InvalidTypeError
-from purecycle.group import fixed_point_rows, group_analyze, is_transitive
+from purecycle.group import GroupReport, fixed_point_rows, group_analyze, is_transitive
 from purecycle.hurwitz import (
-    AFFINE_FP,
     HurwitzFactorization,
-    MonodromyClass,
     RamificationType,
     canonical_form,
     enumerate_factorizations,
@@ -198,10 +196,14 @@ def test_factorization_validation():
 
 
 def test_monodromy_classify_examples():
-    assert monodromy_classify(RamificationType.pure(6, (4, 4, 5))).label == "S5 on 6 letters"
-    assert monodromy_classify(pair_type(5, 2, 2, 4, 4)) == AFFINE_FP
-    a7 = MonodromyClass("alternating", degree=7)
-    s7 = MonodromyClass("symmetric", degree=7)
+    s5_on_6_points = GroupReport(6, 120, True)
+    affine_f5 = GroupReport(5, 20, True)
+    assert monodromy_classify(RamificationType.pure(6, (4, 4, 5))) == s5_on_6_points
+    assert monodromy_classify(pair_type(5, 2, 2, 4, 4)) == affine_f5
+    assert s5_on_6_points.classification == affine_f5.classification == "other"
+    a7 = GroupReport(7, 2520, True)
+    s7 = GroupReport(7, 5040, True)
+    assert (a7.classification, s7.classification) == ("alternating", "symmetric")
     assert monodromy_classify(RamificationType.pure(7, (3, 3, 5, 5))) == a7
     assert monodromy_classify(RamificationType.pure(7, (2, 4, 4, 6))) == s7
     assert monodromy_classify(pair_type(7, 2, 3, 4, 7)) == s7
@@ -219,15 +221,11 @@ def test_monodromy_matches_computed_groups_small():
     for t in (RamificationType.pure(6, (4, 4, 5)), pair_type(5, 2, 2, 4, 4)):
         expected = monodromy_classify(t)
         for f in enumerate_factorizations(t):
-            report = group_analyze(f.perms)
-            if expected.kind == "exceptional":
-                assert report.order == 120
-            elif expected.kind == "affine":
-                assert report.order == 20
-    assert galois_factor(MonodromyClass("alternating", degree=7)) == 2
-    assert galois_factor(MonodromyClass("symmetric", degree=7)) == 1
+            assert group_analyze(f.perms) == expected
+    assert galois_factor(GroupReport(7, 2520, True)) == 2
+    assert galois_factor(GroupReport(7, 5040, True)) == 1
     with pytest.raises(InvalidTypeError):
-        galois_factor(AFFINE_FP)
+        galois_factor(GroupReport(5, 20, True))
 
 
 # -- JSON export ---------------------------------------------------------------
