@@ -86,9 +86,7 @@ def braid_q3(f: HurwitzFactorization) -> HurwitzFactorization:
     return HurwitzFactorization(f.degree, (new_g1, new_g2, g3, g4))
 
 
-def braid_orbits(
-    t: RamificationType, max_degree: int | None = None
-) -> list[BraidOrbit]:
+def braid_orbits(t: RamificationType) -> list[BraidOrbit]:
     """Partition of the factorizations of t into Q3-orbits.
 
     Orbits are keyed on canonical forms, so the partition is independent of
@@ -98,7 +96,7 @@ def braid_orbits(
     """
     if len(t.classes) != 4:
         raise InvalidTypeError("braid orbits are defined for 4-point types")
-    reps = enumerate_factorizations(t, max_degree=max_degree)
+    reps = enumerate_factorizations(t)
     total = len(reps)
     anchor = t.classes[-1].canonical_representative()
     centralizer = centralizer_elements(anchor) if reps else []

@@ -2,10 +2,13 @@
 
 Every computation is exposed as a subcommand with deterministic, scriptable
 output (table, json or csv).  Exit codes: 0 success, 1 failed check
-(``hurwitz --mode both`` or ``verify`` reports FAIL), 2 validation error,
-3 resource-guard abort.  Degree/order bounds can be overridden with the
-PURECYCLE_MAX_DEGREE, PURECYCLE_PURE_MAX_DEGREE and PURECYCLE_ORDER_CAP
-environment variables.
+(``hurwitz --mode both`` or ``verify`` reports FAIL), 2 validation error or
+unreadable input file, 3 resource-guard abort.  The resource bounds are fixed
+constants, each checked before the work it limits: enumeration to degree 9, or
+11 for pure-cycle types (``hurwitz``); characteristics up to 10^12
+(``arith.MAX_PRIME``), and up to 250 for ``defdatum``
+(``fppoly.KUMMER_MAX_PRIME``).  ``group --census`` enumerates groups of order
+at most ``--census-cap`` (default 10^6).
 """
 from __future__ import annotations
 
@@ -13,9 +16,7 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
-from dataclasses import dataclass
 
 from . import acceptance
 from .braid import admissible_enumerate_char0, braid_orbits, degenerate
@@ -36,12 +37,7 @@ from .fppoly import (
     irreducible_factor_degrees,
     supersingular_lambdas,
 )
-from .group import (
-    DEFAULT_ORDER_CAP,
-    cycle_type_census,
-    group_analyze,
-    load_generators,
-)
+from .group import cycle_type_census, group_analyze, load_generators
 from .hurwitz import (
     RamificationType,
     enumerate_factorizations,
@@ -53,39 +49,6 @@ from .hurwitz import (
 )
 
 FORMATS = ("table", "json", "csv")
-
-
-@dataclass
-class RunConfig:
-    """Validated resource bounds from the environment, shared by the subcommands."""
-
-    max_degree: int | None
-    pure_max_degree: int | None
-    order_cap: int
-
-    def __post_init__(self):
-        for bound in (self.max_degree, self.pure_max_degree):
-            if bound is not None and bound < 3:
-                raise InvalidTypeError("degree bounds below 3 are meaningless")
-        if self.order_cap < 1:
-            raise InvalidTypeError("order cap must be positive")
-
-    def bound_for(self, t: RamificationType) -> int | None:
-        return self.pure_max_degree if t.is_pure_cycle else self.max_degree
-
-
-def _env_int(name: str) -> int | None:
-    raw = os.environ.get(name)
-    return int(raw) if raw else None
-
-
-def _config() -> RunConfig:
-    order_cap = _env_int("PURECYCLE_ORDER_CAP")
-    return RunConfig(
-        max_degree=_env_int("PURECYCLE_MAX_DEGREE"),
-        pure_max_degree=_env_int("PURECYCLE_PURE_MAX_DEGREE"),
-        order_cap=DEFAULT_ORDER_CAP if order_cap is None else order_cap,
-    )
 
 
 def _emit(rows: list[dict], fmt: str, out) -> None:
@@ -129,30 +92,30 @@ def _formula_count(t: RamificationType) -> int:
 # -- subcommands ---------------------------------------------------------------
 
 
-def cmd_hurwitz(args, cfg: RunConfig, out) -> int:
+def cmd_hurwitz(args, out) -> int:
     if args.list and (args.format != "table" or args.mode != "both"):
         raise InvalidTypeError("--list writes JSON lines and takes no --format or --mode")
     t = RamificationType.parse(args.type)
     if t.genus() != 0:
         raise InvalidTypeError(f"{t} is not a genus-0 type (genus {t.genus()})")
     if args.list:
-        reps = enumerate_factorizations(t, max_degree=cfg.bound_for(t))
+        reps = enumerate_factorizations(t)
         out.write(factorizations_to_jsonl(reps) + ("\n" if reps else ""))
         return 0
     row: dict = {"type": str(t), "mode": args.mode}
     if args.mode in ("formula", "both"):
         row["formula"] = _formula_count(t)
     if args.mode in ("brute", "both"):
-        row["brute"] = hurwitz_number_brute(t, max_degree=cfg.bound_for(t))
+        row["brute"] = hurwitz_number_brute(t)
     if args.mode == "both":
         row["status"] = "PASS" if row["formula"] == row["brute"] else "FAIL"
     _emit([row], args.format, out)
     return 0 if row.get("status") != "FAIL" else 1
 
 
-def cmd_braid(args, cfg: RunConfig, out) -> int:
+def cmd_braid(args, out) -> int:
     t = RamificationType.parse(args.type)
-    orbits = braid_orbits(t, max_degree=cfg.bound_for(t))
+    orbits = braid_orbits(t)
     rows = []
     for o in orbits:
         _, _, node = degenerate(o.representative)
@@ -168,7 +131,7 @@ def cmd_braid(args, cfg: RunConfig, out) -> int:
     return 0
 
 
-def cmd_admissible(args, cfg: RunConfig, out) -> int:
+def cmd_admissible(args, out) -> int:
     t = RamificationType.parse(args.type)
     if not t.is_pure_cycle or len(t.classes) != 4:
         raise InvalidTypeError("admissible taxonomy needs a pure-cycle 4-point type")
@@ -207,7 +170,7 @@ def cmd_admissible(args, cfg: RunConfig, out) -> int:
     return 0
 
 
-def cmd_charp(args, cfg: RunConfig, out) -> int:
+def cmd_charp(args, out) -> int:
     t = RamificationType.parse(args.type)
     p = t.degree
     if t.is_pure_cycle and len(t.classes) == 4:
@@ -237,7 +200,7 @@ def cmd_charp(args, cfg: RunConfig, out) -> int:
     return 0
 
 
-def cmd_defdatum(args, cfg: RunConfig, out) -> int:
+def cmd_defdatum(args, out) -> int:
     exponents = tuple(int(v) for v in args.exponents.split(","))
     datum = KummerData(args.p, exponents)
     poly = cartier_coefficient(datum)
@@ -254,7 +217,7 @@ def cmd_defdatum(args, cfg: RunConfig, out) -> int:
     return 0
 
 
-def cmd_tails(args, cfg: RunConfig, out) -> int:
+def cmd_tails(args, out) -> int:
     lengths = tuple(int(v) for v in args.tail_class.split("-"))
     info = tail_invariants(args.p, lengths)
     row = {
@@ -272,11 +235,11 @@ def cmd_tails(args, cfg: RunConfig, out) -> int:
     return 0
 
 
-def cmd_group(args, cfg: RunConfig, out) -> int:
+def cmd_group(args, out) -> int:
     if args.census_cap < 1:
         raise InvalidTypeError("census cap must be positive")
     degree, gens = load_generators(args.file)
-    report = group_analyze(gens, order_cap=cfg.order_cap)
+    report = group_analyze(gens)
     rows = [
         {
             "degree": report.degree,
@@ -296,7 +259,7 @@ def cmd_group(args, cfg: RunConfig, out) -> int:
     return 0
 
 
-def cmd_verify(args, cfg: RunConfig, out) -> int:
+def cmd_verify(args, out) -> int:
     numbers = (
         tuple(int(v) for v in args.criteria.split(",")) if args.criteria else None
     )
@@ -377,12 +340,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = _config()
-        return args.fn(args, cfg, sys.stdout)
+        return args.fn(args, sys.stdout)
     except BoundExceededError as exc:
         print(f"resource guard: {exc}", file=sys.stderr)
         return 3
-    except (InvalidTypeError, ValueError) as exc:
+    except (InvalidTypeError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

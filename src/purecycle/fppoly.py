@@ -27,6 +27,10 @@ from typing import Iterable, Sequence
 from .arith import require_prime
 from .errors import BoundExceededError, InvalidTypeError
 
+# Factoring c costs about p^3: the slowest exponents at p = 241 take 2.5 s,
+# and at p = 401 they take 12 s (2-core Xeon, Python 3.11).
+KUMMER_MAX_PRIME = 250
+
 
 class FpPoly:
     """Polynomial over F_p as a trimmed dense coefficient tuple."""
@@ -215,6 +219,10 @@ class KummerData:
     a: tuple[int, int, int, int]
 
     def __post_init__(self):
+        if self.p > KUMMER_MAX_PRIME:
+            raise BoundExceededError(
+                f"characteristic {self.p} exceeds deformation-datum bound {KUMMER_MAX_PRIME}"
+            )
         object.__setattr__(self, "a", tuple(self.a))
         require_prime(self.p)
         if len(self.a) != 4:

@@ -31,8 +31,6 @@ from .perm import (
     parse_cycles,
 )
 
-DEFAULT_ORDER_CAP = 10**8
-
 _CENSUS_CHUNK = 5 * 10**5
 
 
@@ -161,12 +159,6 @@ class StabilizerChain:
             n *= len(trans)
         return n
 
-    def __contains__(self, g: Perm) -> bool:
-        if len(g) != self.degree:
-            return False
-        residue, _ = self._strip(g, 0)
-        return residue == identity(self.degree)
-
     def elements(self, levels: int | None = None) -> Iterator[Perm]:
         """Each product u_0 u_1 ... u_(k-1) of one transversal element per level
         over the first k = levels levels, exactly once.  Over all levels (the
@@ -197,16 +189,12 @@ def is_transitive(generators: Sequence[Perm], degree: int) -> bool:
     return len(orbit) == degree
 
 
-def group_analyze(
-    generators: Sequence[Perm], order_cap: int = DEFAULT_ORDER_CAP
-) -> GroupReport:
+def group_analyze(generators: Sequence[Perm]) -> GroupReport:
     """Exact order and transitivity of the group the generators generate."""
     if not generators:
         raise InvalidTypeError("at least one generator required")
     degree = len(generators[0])
     order = StabilizerChain(generators, degree).order()
-    if order > order_cap:
-        raise BoundExceededError(f"group order {order} exceeds cap {order_cap}")
     return GroupReport(degree, order, is_transitive(generators, degree))
 
 

@@ -412,14 +412,11 @@ def _orbit_minima(
     return minima
 
 
-def enumerate_factorizations(
-    t: RamificationType, max_degree: int | None = None
-) -> list[HurwitzFactorization]:
+def enumerate_factorizations(t: RamificationType) -> list[HurwitzFactorization]:
     """All Hurwitz factorizations of type t, one canonical representative per
     uniform-conjugacy class, sorted.
     """
-    if max_degree is None:
-        max_degree = PURE_CYCLE_MAX_DEGREE if t.is_pure_cycle else DEFAULT_MAX_DEGREE
+    max_degree = PURE_CYCLE_MAX_DEGREE if t.is_pure_cycle else DEFAULT_MAX_DEGREE
     if t.degree > max_degree:
         raise BoundExceededError(
             f"degree {t.degree} exceeds enumeration bound {max_degree}"
@@ -442,11 +439,9 @@ def enumerate_factorizations(
     return [HurwitzFactorization(d, tup) for tup in sorted(seen)]
 
 
-def hurwitz_number_brute(
-    t: RamificationType, max_degree: int | None = None
-) -> int:
+def hurwitz_number_brute(t: RamificationType) -> int:
     """Cardinality of the factorization set, by exhaustive enumeration."""
-    return len(enumerate_factorizations(t, max_degree=max_degree))
+    return len(enumerate_factorizations(t))
 
 
 # -- JSON lines export -------------------------------------------------------

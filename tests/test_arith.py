@@ -1,7 +1,7 @@
 import pytest
 
-from purecycle.arith import is_prime, require_prime
-from purecycle.errors import InvalidTypeError
+from purecycle.arith import MAX_PRIME, is_prime, require_prime
+from purecycle.errors import BoundExceededError, InvalidTypeError
 
 
 def test_is_prime_matches_sieve():
@@ -19,3 +19,10 @@ def test_is_prime_matches_sieve():
 def test_require_prime_rejects(n):
     with pytest.raises(InvalidTypeError, match=f"{n} is not prime"):
         require_prime(n)
+
+
+def test_primality_bound():
+    require_prime(999999999989)  # the largest prime up to MAX_PRIME
+    for check in (is_prime, require_prime):
+        with pytest.raises(BoundExceededError):
+            check(MAX_PRIME + 1)  # refused before any trial division

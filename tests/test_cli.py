@@ -3,6 +3,7 @@ import hashlib
 import importlib.util
 import io
 import json
+import time
 from importlib import resources
 from pathlib import Path
 
@@ -39,25 +40,20 @@ def test_hurwitz_formula_three_points():
 
 
 @pytest.mark.parametrize(
-    "argv, env, err",
+    "argv, err",
     [
-        (("hurwitz", "5:2,2,2,2,2,2,2,2", "--mode", "formula"), {},
+        (("hurwitz", "5:2,2,2,2,2,2,2,2", "--mode", "formula"),
          "closed formulas cover 3 or 4 branch points only"),
-        (("hurwitz", "3:3,3,3,3", "--mode", "brute"), {},
+        (("hurwitz", "3:3,3,3,3", "--mode", "brute"),
          "3:3,3,3,3 is not a genus-0 type (genus 2)"),
-        (("admissible", "5:2,4,5"), {},
+        (("admissible", "5:2,4,5"),
          "admissible taxonomy needs a pure-cycle 4-point type"),
-        (("charp", "5:2,4,5"), {},
+        (("charp", "5:2,4,5"),
          "type 5:2,4,5 is outside the characteristic-p results"),
-        (("tails", "7", "3"), {"PURECYCLE_MAX_DEGREE": "2"},
-         "degree bounds below 3 are meaningless"),
     ],
-    ids=["formula-many-points", "brute-genus-2", "admissible-triple", "charp-triple",
-         "degree-bound-below-3"],
+    ids=["formula-many-points", "brute-genus-2", "admissible-triple", "charp-triple"],
 )
-def test_validation_errors_exit2(argv, env, err, monkeypatch):
-    for name, value in env.items():
-        monkeypatch.setenv(name, value)
+def test_validation_errors_exit2(argv, err):
     assert run_cli(*argv) == (2, "", f"error: {err}\n")
 
 
@@ -67,11 +63,40 @@ def test_hurwitz_genus_validation_exit2():
     assert "genus" in err
 
 
-def test_bound_exceeded_exit3(monkeypatch):
+def test_bound_exceeded_exit3():
+    # one type over the pure-cycle degree bound 11, one over the bound 9
+    for argv in (("hurwitz", "12:6,6,7,7", "--mode", "brute"),
+                 ("hurwitz", "10:2-2,8,10", "--mode", "both")):
+        code, out, err = run_cli(*argv)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("resource guard: degree ")
+
+
+def test_environment_does_not_change_bounds(monkeypatch):
     monkeypatch.setenv("PURECYCLE_PURE_MAX_DEGREE", "5")
-    code, _, err = run_cli("hurwitz", "7:2,4,4,6", "--mode", "brute")
-    assert code == 3
-    assert "resource guard" in err
+    code, out, _ = run_cli("hurwitz", "7:2,4,4,6", "--mode", "brute")
+    assert code == 0
+    assert out.splitlines()[-1].split() == ["7:2,4,4,6", "brute", "12"]
+
+
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        # trial division up to sqrt(p) alone would take seconds
+        (("tails", "10000000000000061", "3"),
+         "10000000000000061 exceeds the primality bound 1000000000000"),
+        # c has degree 1600, and factoring it costs about p^3
+        (("defdatum", "3203", "1601,1601,1601,1601"),
+         "characteristic 3203 exceeds deformation-datum bound 250"),
+    ],
+    ids=["tails-prime", "defdatum-prime"],
+)
+def test_characteristic_bounds_exit3_before_work(argv, err):
+    start = time.perf_counter()
+    result = run_cli(*argv)
+    assert time.perf_counter() - start < 1.0
+    assert result == (3, "", f"resource guard: {err}\n")
 
 
 def test_charp_table():
@@ -137,23 +162,20 @@ def test_group_rejects_census_cap_below_one(cap):
     assert err == "error: census cap must be positive\n"
 
 
-@pytest.mark.parametrize("cap", ["0", "-1"])
-def test_group_rejects_order_cap_below_one(cap, monkeypatch):
-    monkeypatch.setenv("PURECYCLE_ORDER_CAP", cap)
-    path = resources.files("purecycle").joinpath("data", "m11.txt")
-    code, out, err = run_cli("group", str(path))
+def test_group_reports_s13_order(tmp_path):
+    path = tmp_path / "s13.txt"
+    path.write_text("degree: 13\n(1,2)\n(1,2,3,4,5,6,7,8,9,10,11,12,13)\n")
+    code, out, _ = run_cli("group", str(path))
+    assert code == 0
+    assert out.splitlines()[1].split() == ["13", "6227020800", "true", "symmetric"]
+
+
+@pytest.mark.parametrize("name", ["missing.txt", "."], ids=["missing-file", "directory"])
+def test_group_unreadable_file_exit2(name, tmp_path):
+    code, out, err = run_cli("group", str(tmp_path / name))
     assert code == 2
     assert out == ""
-    assert err == "error: order cap must be positive\n"
-
-
-def test_group_order_cap_from_environment(monkeypatch):
-    monkeypatch.setenv("PURECYCLE_ORDER_CAP", "100")
-    path = resources.files("purecycle").joinpath("data", "m11.txt")
-    code, out, err = run_cli("group", str(path))
-    assert code == 3
-    assert out == ""
-    assert err == "resource guard: group order 7920 exceeds cap 100\n"
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize(

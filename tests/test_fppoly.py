@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from purecycle.arith import is_prime
-from purecycle.errors import InvalidTypeError
+from purecycle.errors import BoundExceededError, InvalidTypeError
 from purecycle.fppoly import (
     FpPoly,
     KummerData,
@@ -113,6 +113,9 @@ def test_kummer_data_validation():
         KummerData(5, (2, 2, 2, 3))  # wrong sum
     with pytest.raises(InvalidTypeError):
         KummerData(5, (5, 1, 1, 1))  # exponent out of range
+    assert KummerData(241, (120, 120, 120, 120)).kummer_degree == 2
+    with pytest.raises(BoundExceededError):
+        KummerData(251, (125, 125, 125, 125))  # over KUMMER_MAX_PRIME = 250
 
 
 def test_cartier_examples():
