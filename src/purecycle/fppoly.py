@@ -31,6 +31,11 @@ from .errors import BoundExceededError, InvalidTypeError
 # and at p = 401 they take 12 s (2-core Xeon, Python 3.11).
 KUMMER_MAX_PRIME = 250
 
+# The tail polynomials and ramification_profile are dense in p, and the
+# profile costs about p^2: the slowest two-point tail at p = 997 takes 0.57 s
+# to build and profile, and at p = 2003 2.1 s (2-core Xeon, Python 3.11).
+TAIL_MAX_PRIME = 1000
+
 
 class FpPoly:
     """Polynomial over F_p as a trimmed dense coefficient tuple."""
@@ -332,8 +337,16 @@ def irreducible_factor_degrees(f: FpPoly) -> list[int]:
 # -- tail-cover polynomials ---------------------------------------------------
 
 
+def _check_tail_prime(p: int) -> None:
+    if p > TAIL_MAX_PRIME:
+        raise BoundExceededError(
+            f"characteristic {p} exceeds tail-polynomial bound {TAIL_MAX_PRIME}"
+        )
+
+
 def tail_polynomial_single(p: int, e: int) -> FpPoly:
     """F(y) = y^p + y^e, the degree-p tail with tame index e at y = 0."""
+    _check_tail_prime(p)
     require_prime(p)
     if not 2 <= e <= p - 1:
         raise InvalidTypeError(f"need 2 <= e <= p-1, got e={e}")
@@ -343,6 +356,7 @@ def tail_polynomial_single(p: int, e: int) -> FpPoly:
 def tail_polynomial_cofactor(p: int, e1: int, e2: int) -> FpPoly:
     """The monic degree p-e1-e2 cofactor Ftilde of the two-point tail, from
     the downward recursion c_{i-1} = c_i (e1+i) / (e1+e2+i-1)."""
+    _check_tail_prime(p)
     require_prime(p)
     if not (2 <= e1 <= e2 and e1 + e2 <= p):
         raise InvalidTypeError(f"need 2 <= e1 <= e2 and e1+e2 <= p, got ({e1},{e2})")
@@ -399,6 +413,7 @@ def ramification_profile(f: FpPoly) -> RamificationProfile:
     field are refused.
     """
     p = f.p
+    _check_tail_prime(p)
     if f.degree() > p:
         raise InvalidTypeError("degree above the characteristic is unsupported")
     deriv = f.derivative()

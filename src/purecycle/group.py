@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 from typing import Iterator, Sequence
 
@@ -25,13 +26,22 @@ from .perm import (
     CycleType,
     Perm,
     compose,
-    cycle_lengths,
     identity,
     inverse,
     parse_cycles,
 )
 
-_CENSUS_CHUNK = 5 * 10**5
+# Entries (rows x degree) per census batch.  On the benchmark's groups
+# (two-generator subgroups of S_6 to S_9, M_11, PGammaL(2,16)), 2^16 and 2^17
+# ran fastest of 2^15 to 2^18 and 2^18 a third slower; 2^16 needs half the
+# memory of 2^17, about 2 MB a batch.
+_CENSUS_CHUNK = 2**16
+
+# Schreier-Sims cost grows fast with the degree.  At 40 points, (1,2) with a
+# 40-cycle builds its chain in 1.9-2.2 s, the 39 transpositions (1,i) in 2.6 s
+# and all 780 transpositions in 5.2 s; (1,2) with a 48-cycle takes 6.1 s and
+# with a 60-cycle 43 s (2 cores, Python 3.11).
+MAX_GROUP_DEGREE = 40
 
 
 @dataclass(frozen=True)
@@ -59,6 +69,10 @@ class StabilizerChain:
     """Deterministic base-and-strong-generators chain for <gens> in S_degree."""
 
     def __init__(self, generators: Sequence[Perm], degree: int):
+        if degree > MAX_GROUP_DEGREE:
+            raise BoundExceededError(
+                f"degree {degree} exceeds group degree bound {MAX_GROUP_DEGREE}"
+            )
         if not generators:
             raise InvalidTypeError("at least one generator required")
         if any(len(g) != degree for g in generators):
@@ -189,12 +203,20 @@ def is_transitive(generators: Sequence[Perm], degree: int) -> bool:
     return len(orbit) == degree
 
 
+@lru_cache(maxsize=1)
+def _chain(generators: tuple[Perm, ...]) -> StabilizerChain:
+    """The chain of the generator list.  The cache keeps the last list's
+    chain, so group_analyze followed by cycle_type_census on the same list,
+    as in ``purecycle group --census``, builds it once."""
+    return StabilizerChain(generators, len(generators[0]))
+
+
 def group_analyze(generators: Sequence[Perm]) -> GroupReport:
     """Exact order and transitivity of the group the generators generate."""
     if not generators:
         raise InvalidTypeError("at least one generator required")
     degree = len(generators[0])
-    order = StabilizerChain(generators, degree).order()
+    order = _chain(tuple(map(tuple, generators))).order()
     return GroupReport(degree, order, is_transitive(generators, degree))
 
 
@@ -208,7 +230,7 @@ def cycle_type_census(
     if not generators:
         raise InvalidTypeError("at least one generator required")
     degree = len(generators[0])
-    chain = StabilizerChain(generators, degree)
+    chain = _chain(tuple(map(tuple, generators)))
     order = chain.order()
     if order > cap:
         raise BoundExceededError(f"group order {order} exceeds census cap {cap}")
@@ -217,42 +239,77 @@ def cycle_type_census(
     )
 
 
-def fixed_point_rows(words: np.ndarray, top: int) -> np.ndarray:
-    """Row i holds fix(words[i]^k) for k = 1, ..., top.
+def cycle_type_keys(words: np.ndarray) -> np.ndarray:
+    """One key per row of words, equal for two rows exactly when their
+    permutations have the same cycle type.
 
-    words holds one permutation of degree d per row, in word form.  At
-    top = max(d // 2, 1) the row determines the cycle type, so two
-    permutations are conjugate exactly when their rows are equal.  With c_l
-    the number of l-cycles, fix(g^k) = sum of l * c_l over the divisors l of
-    k, and every divisor of k <= top is itself <= top, so Moebius inversion
-    recovers c_1, ..., c_top.  The points outside those cycles lie in cycles
-    longer than d / 2, of which there is at most one.
+    words holds one permutation of degree d per row, in word form.  The key
+    packs fix(w^k) for k = 1, ..., top = max(d // 2, 1) into uint64 words,
+    width = d.bit_length() bits per count and 64 // width counts per word,
+    lowest k first.  Up to d = 25 one word holds the key and the result is a
+    1-D uint64 array; above, each row's words are viewed as one void record.
+    _key_lengths reads a key back.
     """
     n, degree = words.shape
-    idx = np.arange(degree, dtype=words.dtype)
-    out = np.empty((n, top), dtype=np.min_scalar_type(degree))
-    rows = np.arange(n)[:, None]
-    power = words
-    out[:, 0] = (words == idx).sum(axis=1)
-    for k in range(1, top):
-        power = words[rows, power]  # w^(k+1) = w o w^k
-        out[:, k] = (power == idx).sum(axis=1)
-    return out
+    top = max(degree // 2, 1)
+    width = degree.bit_length()
+    per_word = 64 // width
+    pos = np.arange(n * degree)
+    # row i's point x sits at position i * d + x, so a power is a 1-D gather
+    base = words.astype(np.intp)
+    base += pos[::degree, None]
+    base = base.ravel()
+    ones = np.ones(degree, dtype=np.min_scalar_type(degree))
+    keys = np.zeros((n, -(-top // per_word)), dtype=np.uint64)
+    power = base
+    for k in range(top):
+        if k:
+            power = base.take(power)  # w^(k+1) = w o w^k
+        fixed = (power == pos).view(np.uint8).reshape(n, degree) @ ones
+        word, slot = divmod(k, per_word)
+        keys[:, word] |= fixed.astype(np.uint64) << np.uint64(width * slot)
+    if keys.shape[1] == 1:
+        return keys.ravel()
+    return keys.view(np.dtype((np.void, keys.shape[1] * 8))).ravel()
+
+
+def _key_lengths(key: int | bytes, degree: int) -> tuple[int, ...]:
+    """The cycle lengths >= 2, decreasing, of the rows whose cycle_type_keys
+    entry is key (an int, or a void record's bytes above degree 25).
+
+    With c_l the number of l-cycles, fix(g^k) = sum of l * c_l over the
+    divisors l of k, and every divisor of k <= top is itself <= top, so
+    c_1, ..., c_top follow in turn.  The points outside those cycles lie in
+    cycles longer than d / 2, of which there is at most one.
+    """
+    top = max(degree // 2, 1)
+    width = degree.bit_length()
+    per_word = 64 // width
+    words = np.frombuffer(key, dtype=np.uint64).tolist() if isinstance(key, bytes) else [key]
+    counts: list[int] = []  # counts[l - 1] is c_l
+    for l in range(1, top + 1):
+        word, slot = divmod(l - 1, per_word)
+        fixed = words[word] >> (width * slot) & ((1 << width) - 1)
+        shorter = sum(m * counts[m - 1] for m in range(1, l) if l % m == 0)
+        counts.append((fixed - shorter) // l)
+    lengths = [l for l in range(top, 1, -1) for _ in range(counts[l - 1])]
+    rest = degree - sum(l * c for l, c in enumerate(counts, 1))
+    return tuple([rest] + lengths if rest else lengths)
 
 
 def _census_batched(chain: StabilizerChain) -> Counter[tuple[int, ...]]:
     """Census via numpy batches; same result as direct element iteration.
 
     Elements are built as outer-prefix x inner-suffix transversal products,
-    grouped by their fixed_point_rows at top = max(degree // 2, 1), which
-    determine the cycle type; one representative of each group is decomposed
-    into cycles.
+    at most _CENSUS_CHUNK entries (rows x degree) a batch, and counted by
+    their cycle_type_keys across all batches; each distinct key is then read
+    back as cycle lengths once.
     """
     degree = chain.degree
     sizes = [len(t) for t in chain.transversals]
     split = len(sizes)
     suffix = 1
-    while split > 0 and suffix * sizes[split - 1] <= _CENSUS_CHUNK:
+    while split > 0 and suffix * sizes[split - 1] * degree <= _CENSUS_CHUNK:
         suffix *= sizes[split - 1]
         split -= 1
 
@@ -263,19 +320,15 @@ def _census_batched(chain: StabilizerChain) -> Counter[tuple[int, ...]]:
         images = np.array([trans[pt] for pt in sorted(trans)], dtype=np.int16)
         inner = images[:, inner].reshape(-1, degree)
 
-    counts: Counter[tuple[int, ...]] = Counter()
-    half = max(degree // 2, 1)
+    ident = identity(degree)
+    counts: Counter[int | bytes] = Counter()
     for prefix in chain.elements(split):
-        batch = np.asarray(prefix, dtype=np.int16)[inner]
-        fixed = fixed_point_rows(batch, half)
-        # Each row is keyed by its raw bytes as one fixed-width record: exact
-        # at any degree, and a 1-D sort, which is several times faster than
-        # sorting rows with np.unique(axis=0).
-        keys = fixed.view(np.dtype((np.void, half * fixed.itemsize))).ravel()
-        _, first, cnt = np.unique(keys, return_index=True, return_counts=True)
-        for i, n in zip(first.tolist(), cnt.tolist()):
-            counts[cycle_lengths(batch[i].tolist())] += n
-    return counts
+        # prefix o v is conjugate to v o prefix, so a column permutation keeps
+        # every row's cycle type
+        batch = inner if prefix == ident else inner.take(prefix, axis=1)
+        keys, cnt = np.unique(cycle_type_keys(batch), return_counts=True)
+        counts.update(dict(zip(keys.tolist(), cnt.tolist())))
+    return Counter({_key_lengths(key, degree): n for key, n in counts.items()})
 
 
 def load_generators(path: str | Path) -> tuple[int, list[Perm]]:

@@ -16,11 +16,11 @@ class: conjugation by Z keeps the anchor, the product, the classes and
 transitivity, so the raw tuples are closed under Z, and the conjugate of a raw
 tuple that moves its first looped entry to that entry's orbit representative is
 a raw tuple the loop reaches.  Each numpy batch is filtered three times.  The
-first two compare the solved entry with one key of its class, the row of
-fixed-point counts of its powers that the group census keys by
-(group.fixed_point_rows): first the key's fixed-point count alone, then the
-whole key, which fixes the cycle type.  The third tests transitivity by
-min-label propagation.  Only the rows that pass all three become tuples.
+first two compare the solved entry with its class: first by the number of
+fixed points alone, then by the integer key of the fixed-point counts of its
+powers that the group census counts by (group.cycle_type_keys), which fixes
+the cycle type.  The third tests transitivity by min-label propagation.  Only
+the rows that pass all three become tuples.
 Deduplication sweeps Z-orbits: a tuple not seen before marks its whole orbit
 seen and keeps the orbit's lexicographically least tuple.  If the order moved,
 each representative is carried back to the type's class order by the Hurwitz
@@ -47,7 +47,7 @@ import numpy as np
 
 from .arith import is_prime
 from .errors import BoundExceededError, InvalidTypeError
-from .group import GroupReport, fixed_point_rows, is_transitive
+from .group import GroupReport, cycle_type_keys, is_transitive
 from .perm import (
     CycleType,
     Perm,
@@ -360,11 +360,10 @@ def _search_generic(
     The first looped class runs only over the least element of each orbit of
     centralizer, the anchor's centralizer, so the tuples found are a subset of
     the raw set whose closure under conjugation by centralizer is all of it."""
-    top = max(d // 2, 1)
-    key = fixed_point_rows(
-        np.array([classes[0].canonical_representative()], dtype=np.int16), top
-    )
+    key = cycle_type_keys(np.array([classes[0].canonical_representative()], dtype=np.int16))
+    fixed = d - classes[0].moved
     idx = np.arange(d, dtype=np.int16)
+    ones = np.ones(d, dtype=np.uint8)
     middle = classes[1:-1]
     at = max(range(len(middle)), key=lambda i: middle[i].class_size())
     rows = np.array(list(all_of_type(middle[at])), dtype=np.int16)
@@ -379,9 +378,9 @@ def _search_generic(
             prod = after  # row k is L o V o R = g_2 ... g_r
             if left:
                 prod = np.asarray(compose_all(left, d), dtype=np.int16)[after]
-            hits = np.nonzero((prod == idx).sum(axis=1) == key[0, 0])[0]
+            hits = np.nonzero((prod == idx).view(np.uint8) @ ones == fixed)[0]
             if hits.size:
-                hits = hits[(fixed_point_rows(prod[hits], top) == key).all(axis=1)]
+                hits = hits[cycle_type_keys(prod[hits]) == key]
             if hits.size:
                 # g_1 is the inverse of the others' product, so it adds nothing
                 hits = hits[_transitive_mask(left + right + (anchor,), rows[hits])]

@@ -4,8 +4,11 @@ permutation groups (exhaustive closure)."""
 from __future__ import annotations
 
 import math
+import signal
 from operator import itemgetter
 from typing import Sequence
+
+import pytest
 
 from purecycle.errors import BoundExceededError
 from purecycle.hurwitz import RamificationType
@@ -19,6 +22,31 @@ from purecycle.perm import (
     identity,
     inverse,
 )
+
+
+# A test still running after this many seconds fails, so that an edit that
+# makes a loop run forever fails the suite in a minute instead of hanging it.
+# The slowest tests, under -m slow, take about 5 s each on 2 cores (the
+# degree-11 enumeration and the M_23 census): the limit leaves ten times that
+# for slower machines.
+TEST_TIME_LIMIT_S = 60
+
+
+class TimeLimitExceeded(BaseException):
+    """Raised in a test that runs past TEST_TIME_LIMIT_S.  Not an Exception,
+    so that hypothesis passes it on instead of retrying the example."""
+
+
+@pytest.fixture(autouse=True)
+def time_limit():
+    def expire(signum, frame):
+        raise TimeLimitExceeded(f"test ran past its {TEST_TIME_LIMIT_S} s limit")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(TEST_TIME_LIMIT_S)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
 
 
 def random_perm(rng, degree: int) -> Perm:

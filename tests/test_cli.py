@@ -170,6 +170,16 @@ def test_group_reports_s13_order(tmp_path):
     assert out.splitlines()[1].split() == ["13", "6227020800", "true", "symmetric"]
 
 
+def test_group_degree_bound_exit3_before_work(tmp_path):
+    # (1,2) with a 60-cycle takes about 43 s to build a chain for
+    path = tmp_path / "s60.txt"
+    path.write_text("degree: 60\n(1,2)\n(" + ",".join(map(str, range(1, 61))) + ")\n")
+    start = time.perf_counter()
+    result = run_cli("group", str(path), "--census")
+    assert time.perf_counter() - start < 1.0
+    assert result == (3, "", "resource guard: degree 60 exceeds group degree bound 40\n")
+
+
 @pytest.mark.parametrize("name", ["missing.txt", "."], ids=["missing-file", "directory"])
 def test_group_unreadable_file_exit2(name, tmp_path):
     code, out, err = run_cli("group", str(tmp_path / name))

@@ -1,5 +1,8 @@
+import functools
+import itertools
 import math
 import random
+import time
 
 import pytest
 from hypothesis import given
@@ -185,6 +188,45 @@ def test_distinct_degree_factorization():
     parts = dict(distinct_degree_factorization(f))
     assert parts[1].degree() == 2 and parts[2].degree() == 2
     assert irreducible_factor_degrees(f) == [1, 1, 2]
+    # two quadratics: the loop must run on while rest has degree >= 2(k+1)
+    assert irreducible_factor_degrees(FpPoly(3, (1, 0, 1)) * FpPoly(3, (2, 1, 1))) == [2, 2]
+
+
+def monic_polys(p, n):
+    return [FpPoly(p, (*low, 1)) for low in itertools.product(range(p), repeat=n)]
+
+
+@functools.lru_cache(maxsize=None)
+def irreducibles(p, n):
+    """Monic irreducible polynomials of degree n over F_p: the monic ones that
+    are no product of two monic factors of lower degree."""
+    reducible = {
+        a * b for i in range(1, n // 2 + 1) for a in monic_polys(p, i) for b in monic_polys(p, n - i)
+    }
+    return [f for f in monic_polys(p, n) if f not in reducible]
+
+
+@given(st.data())
+def test_factorization_of_products_of_known_irreducibles(data):
+    p = data.draw(st.sampled_from((2, 3, 5)))
+    factors = data.draw(
+        st.lists(
+            st.integers(1, 4).flatmap(lambda n: st.sampled_from(irreducibles(p, n))),
+            min_size=1, max_size=4, unique=True,
+        )
+    )
+    squarefree = functools.reduce(FpPoly.__mul__, factors)
+    parts = distinct_degree_factorization(squarefree)
+    assert functools.reduce(FpPoly.__mul__, (part for _, part in parts)) == squarefree
+    assert dict(parts) == {
+        k: functools.reduce(FpPoly.__mul__, (g for g in factors if g.degree() == k))
+        for k in {g.degree() for g in factors}
+    }
+    mults = data.draw(st.lists(st.integers(1, 3), min_size=len(factors), max_size=len(factors)))
+    f = functools.reduce(FpPoly.__mul__, (g for g, m in zip(factors, mults) for _ in range(m)))
+    assert irreducible_factor_degrees(f) == sorted(
+        g.degree() for g, m in zip(factors, mults) for _ in range(m)
+    )
 
 
 def test_tail_polynomial_single():
@@ -220,6 +262,24 @@ def test_tail_polynomial_double_degenerate_cofactor():
     assert tail_polynomial_cofactor(7, 3, 4) == FpPoly.monomial(7, 0)
     poly = tail_polynomial_double(7, 3, 4)
     assert poly.degree() == 7
+
+
+def test_tail_functions_refuse_large_primes_before_work():
+    big = 999999999989  # the largest prime under arith.MAX_PRIME
+    start = time.perf_counter()
+    for build in (
+        lambda: tail_polynomial_single(big, 3),
+        lambda: tail_polynomial_cofactor(big, 2, 3),
+        lambda: tail_polynomial_double(big, 2, 3),
+        lambda: ramification_profile(FpPoly(big, (0, 1, 0, 1))),
+    ):
+        with pytest.raises(BoundExceededError):
+            build()
+    assert time.perf_counter() - start < 1
+    # the largest prime under TAIL_MAX_PRIME = 1000 is accepted
+    assert ramification_profile(tail_polynomial_single(997, 2)).finite_points == ((0, 2),)
+    with pytest.raises(BoundExceededError):
+        tail_polynomial_single(1009, 2)
 
 
 def test_ramification_profile_plain_power():

@@ -15,7 +15,7 @@ from purecycle.group import (
     GroupReport,
     StabilizerChain,
     cycle_type_census,
-    fixed_point_rows,
+    cycle_type_keys,
     group_analyze,
     is_transitive,
     load_generators,
@@ -54,6 +54,29 @@ def test_chain_order_matches_closure_battery():
         elems = list(chain.elements())
         assert len(elems) == len(set(elems)) == len(closure)
         assert set(elems) == closure
+
+
+def test_chain_degree_bound():
+    with pytest.raises(BoundExceededError):
+        StabilizerChain(s_n_gens(group.MAX_GROUP_DEGREE + 1), group.MAX_GROUP_DEGREE + 1)
+
+
+def test_analyze_then_census_builds_one_chain(monkeypatch):
+    builds = []
+
+    class CountingChain(StabilizerChain):
+        def __init__(self, *args):
+            builds.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(group, "StabilizerChain", CountingChain)
+    group._chain.cache_clear()
+    gens = load_generators(data_file("m11.txt"))[1]
+    assert group_analyze(gens).order == 7920
+    assert sum(cycle_type_census(gens, cap=10**4).values()) == 7920
+    assert len(builds) == 1
+    assert group_analyze(s_n_gens(5)).order == 120
+    assert len(builds) == 2
 
 
 def test_group_analyze_s5():
@@ -188,8 +211,8 @@ def test_census_agrees_with_direct(name):
 
 
 def test_census_agrees_with_direct_across_chunks(monkeypatch):
-    # M_11 then runs as 990 chunks of 8 elements each
-    monkeypatch.setattr(group, "_CENSUS_CHUNK", 64)
+    # M_11 (degree 11) then runs as 990 chunks of 8 elements each
+    monkeypatch.setattr(group, "_CENSUS_CHUNK", 8 * 11)
     gens = CENSUS_GROUPS["M11"]
     assert census_lengths(gens) == direct_census(gens)
 
@@ -241,19 +264,23 @@ def test_census_of_every_cyclic_group_through_degree_twelve(degree):
         assert cycle_type_census([g], cap=100) == expected, t
 
 
-def test_fixed_point_rows_separate_every_cycle_type_through_degree_twelve():
-    # the census and the Hurwitz search both key a class by this row
+def test_cycle_type_keys_separate_and_decode_every_cycle_type():
+    # the census and the Hurwitz search both key a class by this; at degree 26
+    # the 13 counts of 5 bits take two words
     rng = random.Random(12)
     checked = 0
-    for degree in range(1, 13):
-        top = max(degree // 2, 1)
-        reps = [t.canonical_representative() for t in cycle_types(degree)]
-        rows = fixed_point_rows(np.array(reps, dtype=np.int16), top)
-        assert len({row.tobytes() for row in rows}) == len(reps)
+    for degree in [*range(1, 13), 26]:
+        types = cycle_types(degree)
+        reps = [t.canonical_representative() for t in types]
+        keys = cycle_type_keys(np.array(reps, dtype=np.int16))
+        assert keys.shape == (len(types),)
+        assert keys.dtype == (np.uint64 if degree <= 25 else np.dtype((np.void, 16)))
+        assert len(set(keys.tolist())) == len(types)
+        assert [group._key_lengths(k, degree) for k in keys.tolist()] == [t.lengths for t in types]
         moved = [conjugate(random_perm(rng, degree), g) for g in reps]
-        assert (fixed_point_rows(np.array(moved, dtype=np.int16), top) == rows).all()
-        checked += len(reps)
-    assert checked == 271
+        assert (cycle_type_keys(np.array(moved, dtype=np.int16)) == keys).all()
+        checked += len(types)
+    assert checked == 271 + 2436  # the partitions of 1 to 12, then of 26
 
 
 @pytest.mark.slow

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import random_perm, reference_hurwitz_count
 from purecycle.errors import BoundExceededError, InvalidTypeError
-from purecycle.group import GroupReport, fixed_point_rows, group_analyze, is_transitive
+from purecycle.group import GroupReport, cycle_type_keys, group_analyze, is_transitive
 from purecycle.hurwitz import (
     HurwitzFactorization,
     RamificationType,
@@ -390,16 +390,19 @@ def test_batch_filters_agree_with_per_row_checks(batch):
     shared, rows, target = batch
     d = target.degree
     top = max(d // 2, 1)
+    width = d.bit_length()
     words = np.array(rows, dtype=np.int16)
-    fixed = fixed_point_rows(words, top)
-    assert fixed.tolist() == [
-        [sum(x == y for x, y in enumerate(g)) for g in powers(h, top)] for h in rows
+    keys = cycle_type_keys(words)
+    # one uint64 per row below degree 26: fix(h^k) at bit width * (k - 1)
+    assert keys.tolist() == [
+        sum(
+            sum(x == y for x, y in enumerate(g)) << width * k
+            for k, g in enumerate(powers(h, top))
+        )
+        for h in rows
     ]
-    rep = np.array([target.canonical_representative()], dtype=np.int16)
-    key = fixed_point_rows(rep, top)
-    assert (fixed == key).all(axis=1).tolist() == [
-        cycle_lengths(g) == target.lengths for g in rows
-    ]
+    key = cycle_type_keys(np.array([target.canonical_representative()], dtype=np.int16))
+    assert (keys == key).tolist() == [cycle_lengths(g) == target.lengths for g in rows]
     assert _transitive_mask(shared, words).tolist() == [
         is_transitive(shared + (g,), d) for g in rows
     ]
