@@ -9,10 +9,11 @@ One enumerator serves every r >= 3.  It searches the classes in a cheaper
 order: the largest class last, anchored at its canonical representative, the
 next largest first, solved from the product identity, and the rest between in
 type order (on a tie in size the anchor is the latest such class and the solved
-one the earliest).  It vectorizes over the first-largest middle class and loops
-over the other middle classes, the first of them only over the least element of
-each orbit of the anchor's centralizer Z acting by conjugation.  That loses no
-class: conjugation by Z keeps the anchor, the product, the classes and
+one the earliest).  It takes each class as one array, one element per row
+(perm.class_array), vectorizes over the rows of the first-largest middle class
+and loops over the other middle classes, the first of them only over the least
+element of each orbit of the anchor's centralizer Z acting by conjugation.  That
+loses no class: conjugation by Z keeps the anchor, the product, the classes and
 transitivity, so the raw tuples are closed under Z, and the conjugate of a raw
 tuple that moves its first looped entry to that entry's orbit representative is
 a raw tuple the loop reaches.  Each numpy batch is filtered three times.  The
@@ -53,6 +54,7 @@ from .perm import (
     Perm,
     all_of_type,
     centralizer_elements,
+    class_array,
     compose_all,
     conjugate,
     cycles,
@@ -221,8 +223,8 @@ def monodromy_classify(t: RamificationType) -> GroupReport:
 
     Pure-cycle: A_d iff every exponent is odd, S_d otherwise, except (6; 4,4,5)
     whose monodromy is S_5 acting on 6 points.  Two-cycle shape
-    (p; e1-e2, e3, e4): A_p iff e3, e4 are odd and e1+e2 even, S_p otherwise,
-    except (5; 2-2, 4,4) with affine monodromy F_5 : F_5^*.
+    (p; e1-e2, e3, e4): A_p iff e3, e4 are odd (genus 0 then makes e1+e2 even),
+    S_p otherwise, except (5; 2-2, 4,4) with affine monodromy F_5 : F_5^*.
     """
     d = t.degree
     if t.is_pure_cycle:
@@ -245,7 +247,7 @@ def monodromy_classify(t: RamificationType) -> GroupReport:
             raise InvalidTypeError("two-cycle classifier needs a genus-0 type")
         if (d, (e1, e2), (e3, e4)) == _EXCEPTIONAL_PAIR:
             return GroupReport(5, 20, True)
-        alternating = e3 % 2 and e4 % 2 and (e1 + e2) % 2 == 0
+        alternating = e3 % 2 and e4 % 2
     return GroupReport(d, math.factorial(d) // (2 if alternating else 1), True)
 
 
@@ -366,7 +368,7 @@ def _search_generic(
     ones = np.ones(d, dtype=np.uint8)
     middle = classes[1:-1]
     at = max(range(len(middle)), key=lambda i: middle[i].class_size())
-    rows = np.array(list(all_of_type(middle[at])), dtype=np.int16)
+    rows = class_array(middle[at])
     looped = [list(all_of_type(cl)) for i, cl in enumerate(middle) if i != at]
     if looped:
         minima = _orbit_minima(((x,) for x in looped[0]), centralizer)

@@ -12,15 +12,21 @@ the product identity for a factorization (g1, ..., gr) reads
 
 Cycle notation in data files and JSON uses 1-based points, e.g. ``(1,2,3)(4,5)``;
 everything in memory is 0-based.
+
+The Hurwitz search takes each conjugacy class as one int16 array, one element
+per row (``class_array``); ``all_of_type`` yields the same elements as tuples.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import re
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
+
+import numpy as np
 
 from .errors import BoundExceededError, InvalidTypeError
 
@@ -249,44 +255,50 @@ def centralizer_elements(g: Perm) -> list[Perm]:
     return out
 
 
-def all_of_type(t: CycleType) -> Iterator[Perm]:
-    """All elements of the conjugacy class t, each exactly once.
+@functools.lru_cache(maxsize=256)
+def _choices(d: int, start: int, m: int, l: int) -> np.ndarray:
+    """One row per l-subset of the m positions from start: 0..d-1 with that
+    subset leading those m positions, itself and the rest of them increasing."""
+    window = set(range(start, start + m))
+    rows = [[*range(start), *sub, *sorted(window - set(sub)), *range(start + m, d)]
+            for sub in itertools.combinations(sorted(window), l)]
+    return np.array(rows, dtype=np.int16)
 
-    For every length group the support set is chosen first; within a group,
-    cycles are peeled off with increasing leaders (each leader the least point
-    of the group's remaining support), which kills the k! overcount among
-    equal-length cycles.
+
+def class_array(t: CycleType) -> np.ndarray:
+    """All elements of the class t, each once, one per row of an int16 array.
+
+    Row k is w g0 w^-1, with g0 the canonical representative and w a canonical
+    word: the cycles longest first, each led by its least point, equal lengths
+    by increasing leader, then the fixed points.  Gathers build the words: each
+    cycle's points from those left (after an equal-length cycle, only leaders of
+    at least the last leader's rank among them), then, one point at a time,
+    every order of each cycle's points after its leader.
     """
-    degree = t.degree
-    groups = [
-        (l, t.lengths.count(l)) for l in sorted(set(t.lengths), reverse=True)
-    ]
+    d = t.degree
+    words = np.arange(d, dtype=np.int16)[None]
+    start = prev = 0
+    for l in t.lengths:
+        table = _choices(d, start, d - start, l)
+        rank = table[:, start] - start  # the leader's rank among the points left
+        if l != prev:
+            floor = np.zeros((len(words), 1), dtype=np.int16)
+        ok = rank >= floor
+        words = words[:, table][ok]
+        floor = np.broadcast_to(rank, ok.shape)[ok][:, None]
+        start, prev = start + l, l
+    start = 0
+    for l in t.lengths:
+        for q in range(start + 1, start + l - 1):
+            words = words[:, _choices(d, q, start + l - q, 1)].reshape(-1, d)
+        start += l
+    out = np.empty_like(words)
+    flat, starts = out.reshape(-1), np.arange(0, words.size, d)
+    for x, y in enumerate(t.canonical_representative()):  # out[w[x]] = w[g0[x]]
+        flat[starts + words[:, x]] = words[:, y]
+    return out
 
-    def next_group(avail: tuple[int, ...], gi: int, images: list[int]) -> Iterator[Perm]:
-        if gi == len(groups):
-            yield tuple(images)
-            return
-        l, k = groups[gi]
-        for support in itertools.combinations(avail, l * k):
-            in_support = set(support)
-            leftover = tuple(x for x in avail if x not in in_support)
-            yield from peel_cycles(support, leftover, l, k, gi, images)
 
-    def peel_cycles(support, leftover, l, k, gi, images) -> Iterator[Perm]:
-        if k == 0:
-            yield from next_group(leftover, gi + 1, images)
-            return
-        lead = support[0]
-        rest = support[1:]
-        for others in itertools.combinations(rest, l - 1):
-            chosen = set(others)
-            remaining = tuple(x for x in rest if x not in chosen)
-            for arrangement in itertools.permutations(others):
-                cyc = (lead,) + arrangement
-                for i in range(l):
-                    images[cyc[i]] = cyc[(i + 1) % l]
-                yield from peel_cycles(remaining, leftover, l, k - 1, gi, images)
-                for p in cyc:
-                    images[p] = p
-
-    yield from next_group(tuple(range(degree)), 0, list(range(degree)))
+def all_of_type(t: CycleType) -> Iterator[Perm]:
+    """All elements of the conjugacy class t, each exactly once, as tuples."""
+    yield from map(tuple, class_array(t).tolist())

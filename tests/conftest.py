@@ -3,6 +3,7 @@ Hurwitz counts (full class product, orbit dedup under all of S_d) and for
 permutation groups (exhaustive closure)."""
 from __future__ import annotations
 
+import itertools
 import math
 import signal
 from operator import itemgetter
@@ -13,10 +14,11 @@ import pytest
 from purecycle.errors import BoundExceededError
 from purecycle.hurwitz import RamificationType
 from purecycle.perm import (
+    CycleType,
     Perm,
-    all_of_type,
     compose,
     conjugate,
+    cycle_lengths,
     cycles,
     from_cycles,
     identity,
@@ -87,21 +89,28 @@ def _transitive(perms, degree) -> bool:
     return len(reach) == degree
 
 
+def class_by_filter(t: CycleType) -> list[Perm]:
+    """The class t as the permutations of S_d with its cycle lengths, in
+    lexicographic order; for small degrees only."""
+    return [g for g in itertools.permutations(range(t.degree)) if cycle_lengths(g) == t.lengths]
+
+
 def reference_hurwitz_count(t: RamificationType) -> int:
     """Independent oracle: iterate the full product of classes 2..r, each
     product carried down from its prefix one class at a time (solving the first
     entry), then partition survivors into conjugation orbits under S_d
     generated by a transposition and a full cycle.  No pruning, no anchoring,
-    no centralizer bookkeeping; usable for small degrees only.
+    no centralizer bookkeeping, and each class found by filtering all of S_d;
+    usable for small degrees only.
     """
     d = t.degree
-    *inner, last = [list(all_of_type(c)) for c in t.classes[1:]]
+    *inner, last = [class_by_filter(c) for c in t.classes[1:]]
     # (g_2 ... g_k, their product) pairs, extended one class at a time
     prefixes = [((), identity(d))]
     for elems in inner:
         prefixes = [(combo + (g,), compose(prod, g)) for combo, prod in prefixes for g in elems]
     times_last = [(g, itemgetter(*g)) for g in last]  # itemgetter(*g)(p) is p g
-    first = set(all_of_type(t.classes[0]))  # closed under inverses
+    first = set(class_by_filter(t.classes[0]))  # closed under inverses
     survivors = set()
     for combo, prefix in prefixes:
         for g, times_g in times_last:

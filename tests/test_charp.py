@@ -53,6 +53,16 @@ def test_tail_invariants_accepts_lists_and_keeps_rejecting():
             tail_invariants(7, [4, 4])
 
 
+def test_tail_invariants_bounds():
+    for p in (5, 7, 11):
+        assert tail_invariants(p, (p - 1,)).h == 1  # e = p - 1 is the last single cycle
+        with pytest.raises(InvalidTypeError):
+            tail_invariants(p, (p + 1,))
+        assert tail_invariants(p, (2, p - 2)).h == 1  # e1 + e2 = p fits
+        with pytest.raises(InvalidTypeError):
+            tail_invariants(p, (3, p - 2))  # e1 + e2 = p + 1, each part in range
+
+
 def test_signature_check_agrees_with_fraction_sum():
     rng = random.Random(7)
     for p in (5, 7, 11, 13, 31):
@@ -78,6 +88,15 @@ def test_aut_orders():
     assert tail_aut_orders(7, 3) == type(tail_aut_orders(7, 3))(2, 2)
     assert (tail_aut_orders(7, 4).full, tail_aut_orders(7, 4).fixing) == (3, 1)
     assert (tail_aut_orders(7, 6).full, tail_aut_orders(7, 6).fixing) == (1, 1)
+
+
+def test_aut_orders_bounds():
+    for p in (5, 7, 11):
+        assert tail_aut_orders(p, 2).full == p - 2
+        assert tail_aut_orders(p, p - 1).full == 1
+        for e in (1, p, p + 1):
+            with pytest.raises(InvalidTypeError):
+                tail_aut_orders(p, e)
 
 
 def test_signature_identity_examples():
@@ -146,6 +165,14 @@ def test_three_point_good_reduction():
         three_point_good_reduction(5, 3, 3, 5, 5)  # index not < p
     with pytest.raises(InvalidTypeError):
         three_point_good_reduction(5, 2, 3, 4, 7)  # not a genus-0 triple
+
+
+def test_three_point_good_reduction_index_bounds():
+    assert three_point_good_reduction(5, 2, 4, 5, 7) is True  # indices 2 and d accepted
+    with pytest.raises(InvalidTypeError):
+        three_point_good_reduction(5, 1, 5, 5, 7)  # index 1
+    with pytest.raises(InvalidTypeError):
+        three_point_good_reduction(4, 5, 2, 2, 7)  # index above d, still below p
 
 
 def test_census_examples():

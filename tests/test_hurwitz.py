@@ -210,6 +210,20 @@ def test_monodromy_classify_examples():
     assert monodromy_classify(pair_type(7, 3, 3, 5, 5)) == a7
 
 
+def test_two_cycle_monodromy_is_alternating_exactly_when_every_class_is_even():
+    # genus 0 makes e1 + e2 + e3 + e4 = 2p + 2, so the rule needs no parity of e1 + e2
+    shapes = alternating = 0
+    for p in (5, 7, 11, 13):
+        for e1, e2, e3, e4 in itertools.product(range(2, p + 1), repeat=4):
+            if e1 <= e2 and e3 <= e4 and e1 + e2 <= p and e1 + e2 + e3 + e4 == 2 * p + 2:
+                t = pair_type(p, e1, e2, e3, e4)
+                even = all(cl.parity == 1 for cl in t.classes)
+                assert (monodromy_classify(t).classification == "alternating") == even, str(t)
+                shapes += 1
+                alternating += even
+    assert (shapes, alternating) == (240, 67)
+
+
 def test_monodromy_classify_rejects_uncovered_shapes():
     with pytest.raises(InvalidTypeError):
         monodromy_classify(pair_type(6, 2, 2, 4, 6))  # composite degree

@@ -2,14 +2,17 @@ import math
 import random
 from itertools import permutations
 
+import numpy as np
 import pytest
 
 from conftest import perm_order, random_perm
 from purecycle.errors import BoundExceededError, InvalidTypeError
+from purecycle.group import cycle_type_keys
 from purecycle.perm import (
     CycleType,
     all_of_type,
     centralizer_elements,
+    class_array,
     centralizer_order,
     compose,
     compose_all,
@@ -191,6 +194,38 @@ def test_all_of_type_enumerates_class_exactly():
         elems = list(all_of_type(ct))
         assert len(elems) == len(set(elems)) == ct.class_size()
         assert all(cycle_lengths(g) == ct.lengths for g in elems)
+
+
+def test_class_array_is_the_class_for_every_type_through_degree_eight():
+    for d in range(1, 9):
+        by_type = {}
+        for g in permutations(range(d)):
+            by_type.setdefault(cycle_lengths(g), set()).add(g)
+        assert () in by_type  # the identity's class is among them
+        for lengths, elems in by_type.items():
+            ct = CycleType(d, lengths)
+            rows = class_array(ct)
+            assert rows.dtype == np.int16
+            found = set(map(tuple, rows.tolist()))
+            assert len(rows) == len(found) == ct.class_size()
+            assert found == elems, str(ct)
+
+
+@pytest.mark.parametrize(
+    "ct",
+    [CycleType(9, (9,)), CycleType(9, (7, 2)), CycleType(9, (3, 3, 3)),
+     CycleType(10, (2,) * 5), CycleType(10, (4, 3, 2)), CycleType(11, (7,)),
+     CycleType(11, (3, 3, 3)), CycleType(11, (2,) * 5), CycleType(11, (4, 4, 3))],
+    ids=lambda ct: f"{ct.degree}:{ct}",
+)
+def test_class_array_rows_are_distinct_and_of_the_type_in_degrees_nine_to_eleven(ct):
+    rows = class_array(ct)
+    assert rows.dtype == np.int16
+    assert rows.shape == (ct.class_size(), ct.degree)
+    key = cycle_type_keys(np.array([ct.canonical_representative()], dtype=np.int16))
+    assert (cycle_type_keys(rows) == key).all()
+    codes = rows.astype(np.int64) @ ct.degree ** np.arange(ct.degree, dtype=np.int64)
+    assert len(np.unique(codes)) == len(rows)  # each row read as one base-d number
 
 
 def test_from_cycles_validation():
