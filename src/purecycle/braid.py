@@ -21,10 +21,11 @@ from .hurwitz import (
     HurwitzFactorization,
     RamificationType,
     _canonical_anchored,
+    _centralizer,
     enumerate_factorizations,
     hurwitz_formula_pure4,
 )
-from .perm import Perm, centralizer_elements, compose, cycle_lengths, inverse
+from .perm import Perm, compose, cycle_lengths, inverse
 
 
 @dataclass(frozen=True)
@@ -92,14 +93,15 @@ def braid_orbits(t: RamificationType) -> list[BraidOrbit]:
     Orbits are keyed on canonical forms, so the partition is independent of
     the representatives chosen; orbit lengths sum to the Hurwitz number.  Q3
     keeps g4, which every canonical form anchors at the canonical
-    representative of its class, so one centralizer canonicalizes every step.
+    representative of its class, so one centralizer, built once as conjugation
+    gathers, canonicalizes every step.
     """
     if len(t.classes) != 4:
         raise InvalidTypeError("braid orbits are defined for 4-point types")
     reps = enumerate_factorizations(t)
     total = len(reps)
     anchor = t.classes[-1].canonical_representative()
-    centralizer = centralizer_elements(anchor) if reps else []
+    centralizer = _centralizer(anchor) if reps else []
     seen: set[tuple[Perm, ...]] = set()
     orbits = []
     for f in reps:

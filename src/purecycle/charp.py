@@ -137,12 +137,11 @@ def _tail_invariants(p: int, lengths: tuple[int, ...]) -> TailInvariants:
 
 def tail_aut_orders(p: int, e: int) -> AutOrders:
     """Automorphism orders of the type-e tail: (p-e)/2 for odd e, p-e for even
-    e; the point-fixing subgroup has order h_e in both cases."""
-    require_prime(p)
-    if not 2 <= e <= p - 1:
-        raise InvalidTypeError(f"need 2 <= e <= p-1, got e={e}")
+    e; the point-fixing subgroup has order h_e in both cases.  tail_invariants
+    rejects every e outside 2..p-1."""
+    fixing = tail_invariants(p, (e,)).h
     full = (p - e) // 2 if e % 2 else p - e
-    return AutOrders(full=full, fixing=tail_invariants(p, (e,)).h)
+    return AutOrders(full=full, fixing=fixing)
 
 
 def signature_check(p: int, classes: Sequence[Sequence[int]]) -> bool:

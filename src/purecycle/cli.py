@@ -7,9 +7,10 @@ unreadable input file, 3 resource-guard abort.  The resource bounds are fixed
 constants, each checked before the work it limits: enumeration to degree 9, or
 11 for pure-cycle types (``hurwitz``); characteristics up to 10^12
 (``arith.MAX_PRIME``), and up to 250 for ``defdatum``
-(``fppoly.KUMMER_MAX_PRIME``); generators of degree up to 40 for ``group``
-(``group.MAX_GROUP_DEGREE``).  ``group --census`` enumerates groups of order
-at most ``--census-cap`` (default 10^6).
+(``fppoly.KUMMER_MAX_PRIME``); up to 370 generators of degree up to 40 for
+``group`` (``group.MAX_GROUP_GENERATORS``, ``group.MAX_GROUP_DEGREE``).
+``group --census`` enumerates groups of order at most ``--census-cap``
+(default 10^6).
 """
 from __future__ import annotations
 

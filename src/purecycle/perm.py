@@ -24,7 +24,7 @@ import math
 import re
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -37,13 +37,19 @@ def identity(degree: int) -> Perm:
     return tuple(range(degree))
 
 
+def gather(b: Perm) -> Callable[[Perm], Perm]:
+    """a -> compose(a, b) as one C-level gather, built once for many a of the
+    degree of b; it does not check that degree."""
+    if len(b) < 2:  # itemgetter needs an index and returns a bare item for one
+        return lambda a: tuple(a[x] for x in b)
+    return itemgetter(*b)
+
+
 def compose(a: Perm, b: Perm) -> Perm:
     """Product ab under the apply-b-first convention: (ab)(x) = a(b(x))."""
     if len(a) != len(b):
         raise InvalidTypeError(f"degree mismatch: {len(a)} vs {len(b)}")
-    if len(b) < 2:  # itemgetter needs an index and returns a bare item for one
-        return tuple(a[x] for x in b)
-    return itemgetter(*b)(a)
+    return gather(b)(a)
 
 
 def compose_all(perms: Iterable[Perm], degree: int) -> Perm:

@@ -94,9 +94,13 @@ def test_aut_orders_bounds():
     for p in (5, 7, 11):
         assert tail_aut_orders(p, 2).full == p - 2
         assert tail_aut_orders(p, p - 1).full == 1
-        for e in (1, p, p + 1):
+        for e in (0, 1, p, p + 1):
             with pytest.raises(InvalidTypeError):
                 tail_aut_orders(p, e)
+    with pytest.raises(InvalidTypeError, match="no tail"):
+        tail_aut_orders(7, 7)
+    with pytest.raises(InvalidTypeError):
+        tail_aut_orders(8, 3)  # not a prime
 
 
 def test_signature_identity_examples():

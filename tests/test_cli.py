@@ -180,6 +180,17 @@ def test_group_degree_bound_exit3_before_work(tmp_path):
     assert result == (3, "", "resource guard: degree 60 exceeds group degree bound 40\n")
 
 
+def test_group_generator_bound_exit3_before_work(tmp_path):
+    # all 780 transpositions of S_40 take about 5 s to build a chain for
+    path = tmp_path / "transpositions.txt"
+    lines = [f"({i},{j})" for i in range(1, 41) for j in range(i + 1, 41)]
+    path.write_text("degree: 40\n" + "\n".join(lines) + "\n")
+    start = time.perf_counter()
+    result = run_cli("group", str(path), "--census")
+    assert time.perf_counter() - start < 1.0
+    assert result == (3, "", "resource guard: 780 generators exceed group generator bound 370\n")
+
+
 @pytest.mark.parametrize("name", ["missing.txt", "."], ids=["missing-file", "directory"])
 def test_group_unreadable_file_exit2(name, tmp_path):
     code, out, err = run_cli("group", str(tmp_path / name))

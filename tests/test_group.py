@@ -61,6 +61,19 @@ def test_chain_degree_bound():
         StabilizerChain(s_n_gens(group.MAX_GROUP_DEGREE + 1), group.MAX_GROUP_DEGREE + 1)
 
 
+def test_chain_generator_bound():
+    d = 6
+    transpositions = [from_cycles(d, [[0, i]]) for i in range(1, d)]
+    gens = (transpositions * group.MAX_GROUP_GENERATORS)[: group.MAX_GROUP_GENERATORS]
+    assert StabilizerChain(gens, d).order() == 720
+    with pytest.raises(BoundExceededError):
+        StabilizerChain(gens + [identity(d)], d)
+    for name in ("m11.txt", "m23.txt", "pgammal2_16.txt"):
+        degree, file_gens = load_generators(data_file(name))
+        assert len(file_gens) <= group.MAX_GROUP_GENERATORS
+        StabilizerChain(file_gens, degree)
+
+
 def test_analyze_then_census_builds_one_chain(monkeypatch):
     builds = []
 

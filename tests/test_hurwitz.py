@@ -2,6 +2,7 @@ import functools
 import hashlib
 import itertools
 import json
+import math
 import random
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_perm, reference_hurwitz_count
+import purecycle.hurwitz as hurwitz
 from purecycle.errors import BoundExceededError, InvalidTypeError
 from purecycle.group import GroupReport, cycle_type_keys, group_analyze, is_transitive
 from purecycle.hurwitz import (
@@ -26,6 +28,8 @@ from purecycle.hurwitz import (
     hurwitz_number_brute,
     monodromy_classify,
     _canonical_anchored,
+    _centralizer,
+    _conjugates,
     _orbit_minima,
     _search_generic,
     _search_order,
@@ -36,10 +40,12 @@ from purecycle.perm import (
     CycleType,
     all_of_type,
     centralizer_elements,
+    class_array,
     compose,
     compose_all,
     conjugate,
     cycle_lengths,
+    gather,
     identity,
 )
 
@@ -182,6 +188,23 @@ def test_conjugation_completeness():
 def test_canonical_form_is_idempotent_on_output():
     for f in enumerate_factorizations(RamificationType.pure(5, (2, 2, 4, 4))):
         assert canonical_form(f).perms == f.perms
+
+
+@pytest.mark.parametrize("d", range(1, 8))
+def test_gather_conjugation_equals_conjugate(d):
+    rng = random.Random(d)
+    types = [
+        CycleType(d, lengths)
+        for lengths in sorted({cycle_lengths(g) for g in itertools.permutations(range(d))})
+    ]
+    elements = np.concatenate([class_array(t) for t in types]).tolist()
+    assert len(elements) == len(set(map(tuple, elements))) == math.factorial(d)
+    for t in types:
+        conjugators = _centralizer(t.canonical_representative())
+        assert [z for z, _ in conjugators] == centralizer_elements(t.canonical_representative())
+        perms = tuple(tuple(rng.choice(elements)) for _ in range(3))
+        got = list(_conjugates(perms, conjugators))
+        assert got == [tuple(conjugate(z, g) for g in perms) for z, _ in conjugators]
 
 
 def test_factorization_validation():
@@ -333,7 +356,7 @@ def test_to_type_order_keeps_product_transitivity_and_conjugation(text):
     assert order != tuple(range(len(order)))
     classes = tuple(t.classes[i] for i in order)
     anchor = classes[-1].canonical_representative()
-    raw = _search_generic(d, classes, anchor, centralizer_elements(anchor))
+    raw = _search_generic(d, classes, anchor, _centralizer(anchor))
     rng = random.Random(5)
     for tup in itertools.islice(raw, 6):
         back = _to_type_order(tup, order)
@@ -423,11 +446,31 @@ def test_batch_filters_agree_with_per_row_checks(batch):
 
 
 @pytest.mark.parametrize(
+    "text", ["5:2,2,4,4", "6:2,5,3,4", "6:2,3,2,4,4", "6:2,2,3,3,5", "4:2,2,2,2,2,2", "9:5,5,5,5"]
+)
+def test_search_finds_the_same_raw_tuples_in_any_batch_size(text, monkeypatch):
+    # looped entries right of the vectorized class, left of it (6:2,5,3,4),
+    # on both sides (6:2,3,2,4,4), two to its left (6:2,2,3,3,5), three, and
+    # a vectorized class larger than a batch (9:5,5,5,5)
+    t = RamificationType.parse(text)
+    classes = tuple(t.classes[i] for i in _search_order(t.classes))
+    anchor = classes[-1].canonical_representative()
+    centralizer = _centralizer(anchor)
+    found = []
+    for rows in (1, hurwitz._SEARCH_ROWS, 10**9):
+        monkeypatch.setattr(hurwitz, "_SEARCH_ROWS", rows)
+        raw = list(_search_generic(t.degree, classes, anchor, centralizer))
+        assert len(set(raw)) == len(raw)
+        found.append(set(raw))
+    assert found[0] and found[0] == found[1] == found[2]
+
+
+@pytest.mark.parametrize(
     "text",
     ["5:2,2,4,4", "6:2-2,4,6", "8:2-6,8,2", "7:2,3,3,3,4", "5:2,2,2,3,4",
      "6:2,5,3,4", "6:3,2,5,4", "6:2,3,2,4,4"],
 )
-def test_orbit_sweep_keeps_one_minimum_per_centralizer_orbit(text, monkeypatch):
+def test_orbit_sweep_keeps_one_minimum_per_centralizer_orbit(text):
     # 6:2-2,4,6 has a self-paired class, whose orbit is smaller than the
     # centralizer; 7:2,3,3,3,4 has negative genus, so its raw set is empty.
     # The first looped class lies right of the vectorized one in 5:2,2,4,4,
@@ -438,11 +481,12 @@ def test_orbit_sweep_keeps_one_minimum_per_centralizer_orbit(text, monkeypatch):
     classes = tuple(t.classes[i] for i in _search_order(t.classes))
     anchor = classes[-1].canonical_representative()
     centralizer = centralizer_elements(anchor)
-    full = list(_search_generic(d, classes, anchor, [identity(d)]))
+    conjugators = _centralizer(anchor)
+    full = list(_search_generic(d, classes, anchor, [(identity(d), gather(identity(d)))]))
     assert len(set(full)) == len(full)
     for z in centralizer:
         assert {tuple(conjugate(z, g) for g in tup) for tup in full} == set(full)
-    expected = {_canonical_anchored(tup, centralizer) for tup in full}
+    expected = {_canonical_anchored(tup, conjugators) for tup in full}
 
     middle = classes[1:-1]
     at = max(range(len(middle)), key=lambda i: middle[i].class_size())
@@ -450,23 +494,25 @@ def test_orbit_sweep_keeps_one_minimum_per_centralizer_orbit(text, monkeypatch):
     orbits = 0
     if looped:
         orbits = len({
-            _canonical_anchored((x,), centralizer) for x in all_of_type(middle[looped[0]])
+            _canonical_anchored((x,), conjugators) for x in all_of_type(middle[looped[0]])
         })
 
     calls = 0
 
-    def counting_conjugate(s, g):
-        nonlocal calls
-        calls += 1
-        return conjugate(s, g)
+    def counting(z_inv):
+        def counted_gather(s):
+            nonlocal calls
+            calls += 1
+            return z_inv(s)
+        return counted_gather
 
-    monkeypatch.setattr("purecycle.hurwitz.conjugate", counting_conjugate)
-    reduced = list(_search_generic(d, classes, anchor, centralizer))
-    assert _orbit_minima(reduced, centralizer) == expected
+    # each call of a z^-1 gather finishes the conjugation of one entry by z
+    counted = [(z, counting(z_inv)) for z, z_inv in conjugators]
+    reduced = list(_search_generic(d, classes, anchor, counted))
+    assert _orbit_minima(reduced, counted) == expected
     # one sweep of the looped class, then one conjugation of each of the r
     # entries, by each z, per class
     assert calls <= len(centralizer) * (orbits + len(expected) * len(classes))
-    monkeypatch.undo()
 
     closure = {tuple(conjugate(z, g) for g in tup) for z in centralizer for tup in reduced}
     assert closure == set(full)
@@ -474,7 +520,7 @@ def test_orbit_sweep_keeps_one_minimum_per_centralizer_orbit(text, monkeypatch):
         # the first looped entry is always the least of its centralizer orbit
         for tup in reduced:
             x = tup[1 + looped[0]]
-            assert _canonical_anchored((x,), centralizer) == (x,)
+            assert _canonical_anchored((x,), conjugators) == (x,)
     else:
         assert reduced == full
 

@@ -21,6 +21,7 @@ from purecycle.perm import (
     cycles,
     format_cycles,
     from_cycles,
+    gather,
     identity,
     inverse,
     parse_cycles,
@@ -50,6 +51,16 @@ def test_compose_returns_tuples_at_degrees_one_and_two():
     assert compose((1, 0), (0, 1)) == (1, 0)
     with pytest.raises(InvalidTypeError):
         compose((0,), (1, 0))
+
+
+@pytest.mark.parametrize("d", range(4))
+def test_gather_is_compose_with_fixed_right_factor(d):
+    elements = list(permutations(range(d)))
+    for b in elements:
+        right = gather(b)
+        for a in elements:
+            assert right(a) == compose(a, b)
+            assert type(right(a)) is tuple
 
 
 def test_compose_with_inverse_is_identity():
