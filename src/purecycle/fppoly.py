@@ -247,20 +247,17 @@ class KummerData:
 def cartier_coefficient(k: KummerData) -> FpPoly:
     """The coefficient polynomial c(lambda); never zero for valid exponents.
 
-    The summation runs over the support of the binomials, j from
-    max(0, a2+a4-(p-1)) to min(a4, p-1-a3); the j-th term is nonzero on all of
-    it since both binomials have top index below p.  In particular the leading
-    term survives, so c cannot vanish.
+    The j-th coefficient, j from 0 to min(a4, p-1-a3), is
+    C(p-1-a2, a4-j) C(p-1-a3, j) mod p.  The first binomial is 0 below
+    j = a2+a4-(p-1); from there on both are nonzero, since their top indices
+    lie below p.  In particular the leading term survives, so c cannot vanish.
     """
     p = k.p
     a1, a2, a3, a4 = k.a
-    lo = max(0, a2 + a4 - (p - 1))
-    hi = min(a4, p - 1 - a3)
-    coeffs = [0] * (hi + 1)
-    for j in range(lo, hi + 1):
-        coeffs[j] = (
-            lucas_binomial(p - 1 - a2, a4 - j, p) * lucas_binomial(p - 1 - a3, j, p)
-        ) % p
+    coeffs = [
+        lucas_binomial(p - 1 - a2, a4 - j, p) * lucas_binomial(p - 1 - a3, j, p) % p
+        for j in range(min(a4, p - 1 - a3) + 1)
+    ]
     poly = FpPoly(p, coeffs)
     if poly.is_zero():
         raise InvalidTypeError(f"coefficient polynomial vanished for {k}")

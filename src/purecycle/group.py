@@ -1,10 +1,10 @@
 """Finite permutation group analysis: order, transitivity, cycle-type census.
 
-The workhorse is a deterministic Schreier-Sims stabilizer chain (base points
-chosen smallest-first, BFS orbits, generators processed in list order), so
-repeated runs produce identical data.  The tests check it against an
-exhaustive closure, an independent oracle for small groups kept in
-``tests/conftest.py``.
+The workhorse is an incremental Schreier-Sims stabilizer chain: generators
+join in list order, each new base point is the first point its sifted residue
+moves, and orbits grow by BFS, so repeated runs produce identical data.  The
+tests check it against an exhaustive closure, an independent oracle for small
+groups kept in ``tests/conftest.py``.
 
 Generator data files are plain text: a ``degree: n`` header, then one
 permutation per line in 1-based disjoint-cycle notation.  Lines starting with
@@ -37,17 +37,29 @@ from .perm import (
 # memory of 2^17, about 2 MB a batch.
 _CENSUS_CHUNK = 2**16
 
-# Schreier-Sims cost grows fast with the degree.  At 40 points, (1,2) with a
-# 40-cycle builds its chain in 1.9-2.2 s, the 39 transpositions (1,i) in 2.6 s
-# and all 780 transpositions in 5.2-5.6 s; (1,2) with a 48-cycle takes 6.1 s
-# and with a 60-cycle 43 s (2 cores, Python 3.11).
+# Bounds on a group's degree and generator count, checked before any work.
+# The slowest inputs found at 40 points build their chain in 0.15 s or less:
+# the 38 3-cycles (1,2,i) 0.14 s; 370 random transpositions, the 39
+# transpositions (1,i) and all 780 transpositions 0.06 s; (1,2) with a 40-cycle
+# 0.05 s.  The same transposition shapes take 0.09-0.12 s at 48 points and
+# 0.21-0.27 s at 60 (2 cores, Python 3.11).  Cost follows the group and the
+# generators' shape far more than their number.  Both values date from a
+# two-phase builder that took 2-3 s on these inputs; they are kept as chosen
+# caps, not as the point where the time becomes too long.
 MAX_GROUP_DEGREE = 40
-# With many generators the cost also grows with their number, fastest for
-# transpositions: at 40 points random transpositions cost 7-8 ms each, and 370
-# of them build in 2.8-3.0 s, as long as the 39 transpositions (1,i) timed
-# alongside (2.7-2.9 s), so the bound sits there.  Other shapes cost less:
-# 370 random 3-cycles 2.1 s, 370 random permutations 0.6 s.
 MAX_GROUP_GENERATORS = 370
+
+
+def _check_group_bounds(degree: int, n_generators: int) -> None:
+    if degree > MAX_GROUP_DEGREE:
+        raise BoundExceededError(
+            f"degree {degree} exceeds group degree bound {MAX_GROUP_DEGREE}"
+        )
+    if n_generators > MAX_GROUP_GENERATORS:
+        raise BoundExceededError(
+            f"{n_generators} generators exceed group generator bound "
+            f"{MAX_GROUP_GENERATORS}"
+        )
 
 
 @dataclass(frozen=True)
@@ -72,114 +84,87 @@ class GroupReport:
 
 
 class StabilizerChain:
-    """Deterministic base-and-strong-generators chain for <gens> in S_degree.
+    """Deterministic base-and-strong-generators chain for <gens> in S_degree,
+    built by adding the generators one at a time (_add).
 
     At most MAX_GROUP_DEGREE points and MAX_GROUP_GENERATORS generators, both
-    checked before any work; the slowest accepted inputs timed, the 39
-    transpositions (1,i) of S_40 and 370 random transpositions of S_40, build
-    in about 3 s."""
+    checked before any work; the slowest accepted inputs timed build in 0.15 s
+    or less (see MAX_GROUP_DEGREE)."""
 
     def __init__(self, generators: Sequence[Perm], degree: int):
-        if degree > MAX_GROUP_DEGREE:
-            raise BoundExceededError(
-                f"degree {degree} exceeds group degree bound {MAX_GROUP_DEGREE}"
-            )
-        if len(generators) > MAX_GROUP_GENERATORS:
-            raise BoundExceededError(
-                f"{len(generators)} generators exceed group generator bound "
-                f"{MAX_GROUP_GENERATORS}"
-            )
+        _check_group_bounds(degree, len(generators))
         if not generators:
             raise InvalidTypeError("at least one generator required")
         if any(len(g) != degree for g in generators):
             raise InvalidTypeError("generators must share the chain degree")
         self.degree = degree
         self.base: list[int] = []
-        self._level_gens: list[list[Perm]] = []
+        # _gens[i] holds level i's strong generators, each with its inverse
+        self._gens: list[list[tuple[Perm, Perm]]] = []
         self.transversals: list[dict[int, Perm]] = []
         # _inverses[i][pt] is transversals[i][pt]^-1, so sifting never inverts
         self._inverses: list[dict[int, Perm]] = []
-        self._build([g for g in generators if g != identity(degree)])
+        for g in generators:
+            self._add(g, 0)
 
     # -- construction ------------------------------------------------------
-
-    def _first_moved(self, g: Perm) -> int:
-        return next(x for x in range(self.degree) if g[x] != x)
-
-    def _append_base_point(self, g: Perm) -> None:
-        self.base.append(self._first_moved(g))
-        self._level_gens.append([])
-        self.transversals.append({})
-        self._inverses.append({})
-
-    def _rebuild_transversal(self, i: int) -> None:
-        b = self.base[i]
-        trans = {b: identity(self.degree)}
-        inv = {b: identity(self.degree)}
-        gens = [(s, inverse(s)) for s in self._level_gens[i]]
-        queue = [b]
-        for a in queue:
-            ua = trans[a]
-            for s, s_inv in gens:
-                c = s[a]
-                if c not in trans:
-                    trans[c] = compose(s, ua)
-                    inv[c] = compose(inv[a], s_inv)
-                    queue.append(c)
-        self.transversals[i] = trans
-        self._inverses[i] = inv
 
     def _strip(self, g: Perm, start: int) -> tuple[Perm, int]:
         """Sift g through levels >= start; returns (residue, level reached)."""
         for j in range(start, len(self.base)):
-            u_inv = self._inverses[j].get(g[self.base[j]])
+            b = self.base[j]
+            if g[b] == b:
+                continue
+            u_inv = self._inverses[j].get(g[b])
             if u_inv is None:
                 return g, j
             g = compose(u_inv, g)
         return g, len(self.base)
 
-    def _build(self, gens: list[Perm]) -> None:
-        ident = identity(self.degree)
-        if not gens:
-            self.base = []
-            return
-        for g in gens:
-            if all(g[b] == b for b in self.base):
-                self._append_base_point(g)
-        for i in range(len(self.base)):
-            prefix = self.base[:i]
-            self._level_gens[i] = [
-                g for g in gens if all(g[b] == b for b in prefix)
-            ]
-            self._rebuild_transversal(i)
+    def _add(self, g: Perm, level: int) -> None:
+        """Add g, which fixes base[:level], to the group of the levels from
+        level on, and make those levels a chain of the larger group.
 
-        i = len(self.base) - 1
-        while i >= 0:
-            violation = False
-            trans = self.transversals[i]
-            inv = self._inverses[i]
-            orbit = list(trans)
-            for b in orbit:
-                ub = trans[b]
-                for s in self._level_gens[i]:
-                    schreier = compose(inv[s[b]], compose(s, ub))
-                    if schreier == ident:
-                        continue
-                    residue, j = self._strip(schreier, i + 1)
-                    if residue == ident:
-                        continue
-                    if j == len(self.base):
-                        self._append_base_point(residue)
-                    for level in range(i + 1, j + 1):
-                        self._level_gens[level].append(residue)
-                        self._rebuild_transversal(level)
-                    i = j
-                    violation = True
-                    break
-                if violation:
-                    break
-            if not violation:
-                i -= 1
+        The residue h of g, stopped at level j, fixes base[level:j], so it
+        joins the strong generators of levels j down to level, each orbit
+        growing in place.  Transversal entries never change, so a Schreier
+        generator that sifted to the identity once still does, and each is
+        sifted once, when its orbit point and generator first meet.
+        """
+        h, j = self._strip(g, level)
+        ident = identity(self.degree)
+        if h == ident:
+            return
+        if j == len(self.base):
+            b = next(x for x in range(self.degree) if h[x] != x)
+            self.base.append(b)
+            self._gens.append([])
+            self.transversals.append({b: ident})
+            self._inverses.append({b: ident})
+        new = (h, inverse(h))
+        for i in range(j, level - 1, -1):
+            self._gens[i].append(new)
+            self._grow(i, new)
+
+    def _grow(self, i: int, new: tuple[Perm, Perm]) -> None:
+        """BFS of level i's orbit after new joined its generators: old points
+        meet new alone, new points every generator.  A generator s taking x to
+        a point y already in the orbit gives the Schreier generator
+        u_y^-1 s u_x, which goes to _add at level i + 1."""
+        trans, inv, gens = self.transversals[i], self._inverses[i], self._gens[i]
+        queue = list(trans)
+        n_old = len(queue)
+        for n, x in enumerate(queue):  # the queue grows as points are found
+            ux = trans[x]
+            for s, s_inv in (new,) if n < n_old else gens:
+                y = s[x]
+                sux = compose(s, ux)
+                if y not in trans:
+                    trans[y] = sux
+                    inv[y] = compose(inv[x], s_inv)
+                    queue.append(y)
+                elif sux != trans[y]:
+                    self._add(compose(inv[y], sux), i + 1)
 
     # -- queries -----------------------------------------------------------
 
@@ -348,21 +333,26 @@ def _census_batched(chain: StabilizerChain) -> Counter[tuple[int, ...]]:
 
 
 def load_generators(path: str | Path) -> tuple[int, list[Perm]]:
-    """Read a generator data file (``degree: n`` header, 1-based cycles)."""
-    degree = None
-    gens: list[Perm] = []
-    for raw in Path(path).read_text().splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if line.lower().startswith("degree:"):
-            if degree is not None:
-                raise InvalidTypeError("duplicate degree header")
-            degree = int(line.split(":", 1)[1])
-            continue
-        if degree is None:
-            raise InvalidTypeError("degree header must precede generators")
-        gens.append(parse_cycles(degree, line))
-    if degree is None or not gens:
+    """Read a generator data file (``degree: n`` header, 1-based cycles).
+
+    The degree and the number of generator lines are checked against the
+    group bounds before any generator is parsed."""
+    lines = [
+        line
+        for raw in Path(path).read_text().splitlines()
+        if (line := raw.strip()) and not line.startswith("#")
+    ]
+    if not lines:
         raise InvalidTypeError(f"no generators found in {path}")
-    return degree, gens
+    header, *rest = lines
+    if not header.lower().startswith("degree:"):
+        raise InvalidTypeError("degree header must precede generators")
+    if any(line.lower().startswith("degree:") for line in rest):
+        raise InvalidTypeError("duplicate degree header")
+    degree = int(header.split(":", 1)[1])
+    if degree < 1:
+        raise InvalidTypeError(f"degree must be positive, got {degree}")
+    _check_group_bounds(degree, len(rest))
+    if not rest:
+        raise InvalidTypeError(f"no generators found in {path}")
+    return degree, [parse_cycles(degree, line) for line in rest]

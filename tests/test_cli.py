@@ -171,7 +171,6 @@ def test_group_reports_s13_order(tmp_path):
 
 
 def test_group_degree_bound_exit3_before_work(tmp_path):
-    # (1,2) with a 60-cycle takes about 43 s to build a chain for
     path = tmp_path / "s60.txt"
     path.write_text("degree: 60\n(1,2)\n(" + ",".join(map(str, range(1, 61))) + ")\n")
     start = time.perf_counter()
@@ -181,7 +180,6 @@ def test_group_degree_bound_exit3_before_work(tmp_path):
 
 
 def test_group_generator_bound_exit3_before_work(tmp_path):
-    # all 780 transpositions of S_40 take about 5 s to build a chain for
     path = tmp_path / "transpositions.txt"
     lines = [f"({i},{j})" for i in range(1, 41) for j in range(i + 1, 41)]
     path.write_text("degree: 40\n" + "\n".join(lines) + "\n")
@@ -189,6 +187,31 @@ def test_group_generator_bound_exit3_before_work(tmp_path):
     result = run_cli("group", str(path), "--census")
     assert time.perf_counter() - start < 1.0
     assert result == (3, "", "resource guard: 780 generators exceed group generator bound 370\n")
+
+
+@pytest.mark.parametrize("degree", ["0", "-2"])
+def test_group_rejects_degree_below_one(degree, tmp_path):
+    path = tmp_path / "gens.txt"
+    path.write_text(f"degree: {degree}\n()\n")
+    result = run_cli("group", str(path))
+    assert result == (2, "", f"error: degree must be positive, got {degree}\n")
+
+
+@pytest.mark.parametrize(
+    "text, err",
+    [
+        ("degree: 30000000\n(1,2)\n", "degree 30000000 exceeds group degree bound 40"),
+        ("degree: 40\n" + "(1,2)\n" * 300000, "300000 generators exceed group generator bound 370"),
+    ],
+    ids=["huge-degree", "300000-generators"],
+)
+def test_group_file_bounds_exit3_before_parsing(text, err, tmp_path):
+    path = tmp_path / "gens.txt"
+    path.write_text(text)
+    start = time.perf_counter()
+    result = run_cli("group", str(path))
+    assert time.perf_counter() - start < 1.0
+    assert result == (3, "", f"resource guard: {err}\n")
 
 
 @pytest.mark.parametrize("name", ["missing.txt", "."], ids=["missing-file", "directory"])

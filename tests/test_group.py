@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from collections import Counter
 from importlib import resources
 
@@ -54,6 +55,50 @@ def test_chain_order_matches_closure_battery():
         elems = list(chain.elements())
         assert len(elems) == len(set(elems)) == len(closure)
         assert set(elems) == closure
+
+
+def degree_40_generating_sets():
+    d = 40
+    rng = random.Random(40)
+    return {
+        "star transpositions": ([from_cycles(d, [[0, i]]) for i in range(1, d)], 1),
+        "adjacent transpositions": ([from_cycles(d, [[i, i + 1]]) for i in range(d - 1)], 1),
+        "(1,2) and a 40-cycle": (s_n_gens(d), 1),
+        "random 3-cycles": ([from_cycles(d, [rng.sample(range(d), 3)]) for _ in range(60)], 2),
+    }
+
+
+@pytest.mark.parametrize("name", list(degree_40_generating_sets()))
+def test_chain_orders_at_degree_forty(name):
+    # known orders from generating sets of different shapes at the degree
+    # bound; each must build well within a second
+    gens, index = degree_40_generating_sets()[name]
+    start = time.perf_counter()
+    chain = StabilizerChain(gens, 40)
+    assert time.perf_counter() - start < 1.0
+    assert chain.order() == math.factorial(40) // index
+
+
+@pytest.mark.parametrize(
+    "gens",
+    [
+        s_n_gens(7),
+        [parse_cycles(8, "(1,2,3)"), parse_cycles(8, "(4,5)(6,7,8)")],  # intransitive
+        load_generators(data_file("m11.txt"))[1],
+        degree_40_generating_sets()["random 3-cycles"][0],
+    ],
+    ids=["S7", "intransitive", "M11", "A40"],
+)
+def test_transversals_map_base_points_and_fix_earlier_ones(gens):
+    chain = StabilizerChain(gens, len(gens[0]))
+    ident = identity(chain.degree)
+    assert len(chain.transversals) == len(chain._inverses) == len(chain.base)
+    for i, b in enumerate(chain.base):
+        assert set(chain._inverses[i]) == set(chain.transversals[i])
+        for pt, u in chain.transversals[i].items():
+            assert u[b] == pt
+            assert all(u[c] == c for c in chain.base[:i])
+            assert compose(chain._inverses[i][pt], u) == ident
 
 
 def test_chain_degree_bound():
@@ -243,11 +288,29 @@ def test_census_matches_closure_on_random_groups(gens):
     assert census_lengths(gens) == Counter(cycle_lengths(g) for g in closure)
 
 
+@st.composite
+def generator_lists(draw):
+    """1 to 4 generators of degree 1 to 8: random permutations, single cycles
+    of 1 to 4 points, the identity, and repeats of earlier entries."""
+    n = draw(st.integers(1, 8))
+    shapes = [
+        st.permutations(range(n)).map(tuple),
+        st.lists(st.integers(0, n - 1), min_size=1, max_size=4, unique=True).map(
+            lambda c: from_cycles(n, [c])
+        ),
+        st.just(identity(n)),
+    ]
+    gens = []
+    for _ in range(draw(st.integers(1, 4))):
+        gens.append(draw(st.one_of(shapes + ([st.sampled_from(gens)] if gens else []))))
+    return gens
+
+
 @settings(max_examples=50, deadline=None)
-@given(two_generator_groups())
+@given(generator_lists())
 def test_chain_matches_closure_on_random_groups(gens):
     chain = StabilizerChain(gens, len(gens[0]))
-    closure = element_closure(gens, cap=5040)
+    closure = element_closure(gens, cap=math.factorial(8))
     assert chain.order() == len(closure)
     assert set(chain.elements()) == closure
 
