@@ -72,12 +72,10 @@ from .fppoly import (
     KummerData,
     RamificationProfile,
     cartier_coefficient,
-    distinct_degree_factorization,
     fp_roots,
     irreducible_factor_degrees,
     lucas_binomial,
     ramification_profile,
-    squarefree_decomposition,
     supersingular_lambdas,
     tail_polynomial_cofactor,
     tail_polynomial_double,

@@ -263,7 +263,9 @@ def cmd_group(args, out) -> int:
 
 def cmd_verify(args, out) -> int:
     numbers = (
-        tuple(int(v) for v in args.criteria.split(",")) if args.criteria else None
+        tuple(int(v) for v in args.criteria.split(","))
+        if args.criteria is not None
+        else None
     )
     unknown = sorted(set(numbers or ()) - {n for n, _ in acceptance.CRITERIA})
     if unknown:

@@ -347,6 +347,20 @@ def test_group_census_output_is_pinned(name, fmt, digest):
          "6d585b85f789235f075b4969f42cc0895564c50654151b1953bbc461d3df4ebb"),
         (("tails", "7", "2-3"), "csv",
          "2a8d04dd399e944fc4eae0bfc2a323637efb2a8f3307f577780e7b07030b5d86"),
+        # c(0) = 0 in these two: c = λ^2 (λ^2 + λ + 6) over F_7 and
+        # λ^3 (8λ^2 + 9λ + 10) over F_13, each quadratic irreducible
+        (("defdatum", "7", "2,4,2,4"), "table",
+         "bab9cf54cae99d42dff2dced16db98a589b400984e8b510e166effc55839f711"),
+        (("defdatum", "7", "2,4,2,4"), "json",
+         "e377c4457e9a03516514e37701332d89f4e8bb0ef2bd39265be9b5ca76edd2d9"),
+        (("defdatum", "7", "2,4,2,4"), "csv",
+         "6d493b07e8548251dbc207acb1a3cfee8698079426cae0e1c554ed28427671dc"),
+        (("defdatum", "13", "2,5,7,10"), "table",
+         "1906224346969ee2565562804aadf7e5a4375257d369c861d02f51d7cfcd8622"),
+        (("defdatum", "13", "2,5,7,10"), "json",
+         "cb8d2c529e01899d5e869231f0b5a0a8b0d3f6c40967214785f9ec7a68f24111"),
+        (("defdatum", "13", "2,5,7,10"), "csv",
+         "417aaec3b7a8f584a65e8fccf71099f4ab6d3744e285da6f8854929b90a846b0"),
     ],
 )
 def test_subcommand_output_is_pinned(argv, fmt, digest):
@@ -417,10 +431,15 @@ def test_verify_rejects_format():
 
 
 def test_verify_rejects_unknown_criteria():
-    code, out, err = run_cli("verify", "--criteria", "2,99,0")
-    assert code == 2
-    assert out == ""
-    assert err == "error: no criterion 0,99; criteria are 1..11\n"
+    for criteria, message in [
+        ("2,99,0", "no criterion 0,99; criteria are 1..11"),
+        # an empty list is an error, not "run every criterion"
+        ("", "invalid literal for int() with base 10: ''"),
+    ]:
+        code, out, err = run_cli("verify", "--criteria", criteria)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {message}\n"
 
 
 def test_hurwitz_list_emits_json_lines():

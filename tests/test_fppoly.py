@@ -14,14 +14,12 @@ from purecycle.fppoly import (
     FpPoly,
     KummerData,
     cartier_coefficient,
-    distinct_degree_factorization,
     fp_roots,
     irreducible_factor_degrees,
     lucas_binomial,
     poly_gcd,
     pow_mod,
     ramification_profile,
-    squarefree_decomposition,
     supersingular_lambdas,
     tail_polynomial_cofactor,
     tail_polynomial_double,
@@ -59,10 +57,9 @@ def test_poly_mixed_moduli_rejected():
         FpPoly(5, (1,)) + FpPoly(7, (1,))
 
 
-def test_derivative_and_pth_root():
+def test_derivative():
     f = FpPoly(5, (2, 0, 0, 0, 0, 1))  # x^5 + 2
     assert f.derivative().is_zero()
-    assert f.pth_root() == FpPoly(5, (2, 1))
     assert FpPoly(7, (1, 3, 0, 2)).derivative() == FpPoly(7, (3, 0, 6))
 
 
@@ -161,33 +158,22 @@ def test_fp_roots():
         fp_roots(FpPoly(7))
 
 
-def test_squarefree_decomposition_examples():
+def test_irreducible_factor_degrees_examples():
     p = 5
     lin = FpPoly(p, (-1, 1))
     quad = FpPoly(p, (2, 0, 1))  # x^2 + 2, no roots mod 5
     assert all(quad(x) for x in range(p))
-    f = lin * lin * lin * quad
-    decomp = squarefree_decomposition(f)
-    assert (lin.monic(), 3) in decomp and (quad.monic(), 1) in decomp
-    # p-th power branch: (x-1)^3 = x^3 - 1 over F_3 has zero derivative
+    assert irreducible_factor_degrees(lin * lin * lin * quad) == [1, 1, 1, 2]
+    assert irreducible_factor_degrees((lin * FpPoly(p, (-3, 1)) * quad).monic()) == [1, 1, 2]
+    # p-th powers: (x-1)^3 = x^3 - 1 over F_3 has zero derivative
     lin3 = FpPoly(3, (-1, 1))
     g = lin3 * lin3 * lin3
     assert g.derivative().is_zero()
-    assert squarefree_decomposition(g) == [(lin3, 3)]
-    # mixed, over F_3: the p-th-power part is left in c after the loop and
-    # taken by the tail recursion on its p-th root
+    assert irreducible_factor_degrees(g) == [1, 1, 1]
+    # mixed multiplicities over F_3, one of them a multiple of p
     a, b = FpPoly(3, (-1, 1)), FpPoly(3, (1, 0, 1))  # x+2 and x^2+1
-    assert squarefree_decomposition(a * a * a * a * b * b * b) == [(a, 4), (b, 3)]
-    assert squarefree_decomposition(a * a * a * b) == [(b, 1), (a, 3)]
-
-
-def test_distinct_degree_factorization():
-    p = 5
-    quad = FpPoly(p, (2, 0, 1))
-    f = (FpPoly(p, (-1, 1)) * FpPoly(p, (-3, 1)) * quad).monic()
-    parts = dict(distinct_degree_factorization(f))
-    assert parts[1].degree() == 2 and parts[2].degree() == 2
-    assert irreducible_factor_degrees(f) == [1, 1, 2]
+    assert irreducible_factor_degrees(a * a * a * a * b * b * b) == [1, 1, 1, 1, 2, 2, 2]
+    assert irreducible_factor_degrees(a * a * a * b) == [1, 1, 1, 2]
     # two quadratics: the loop must run on while rest has degree >= 2(k+1)
     assert irreducible_factor_degrees(FpPoly(3, (1, 0, 1)) * FpPoly(3, (2, 1, 1))) == [2, 2]
 
@@ -215,14 +201,7 @@ def test_factorization_of_products_of_known_irreducibles(data):
             min_size=1, max_size=4, unique=True,
         )
     )
-    squarefree = functools.reduce(FpPoly.__mul__, factors)
-    parts = distinct_degree_factorization(squarefree)
-    assert functools.reduce(FpPoly.__mul__, (part for _, part in parts)) == squarefree
-    assert dict(parts) == {
-        k: functools.reduce(FpPoly.__mul__, (g for g in factors if g.degree() == k))
-        for k in {g.degree() for g in factors}
-    }
-    mults = data.draw(st.lists(st.integers(1, 3), min_size=len(factors), max_size=len(factors)))
+    mults = data.draw(st.lists(st.integers(1, 6), min_size=len(factors), max_size=len(factors)))
     f = functools.reduce(FpPoly.__mul__, (g for g, m in zip(factors, mults) for _ in range(m)))
     assert irreducible_factor_degrees(f) == sorted(
         g.degree() for g, m in zip(factors, mults) for _ in range(m)
