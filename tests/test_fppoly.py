@@ -158,13 +158,13 @@ def test_fp_roots():
         fp_roots(FpPoly(7))
 
 
-def test_irreducible_factor_degrees_examples():
+def test_squarefree_decomposition_examples():
+    # multiplicities, p-th powers included, come out of irreducible_factor_degrees
     p = 5
     lin = FpPoly(p, (-1, 1))
     quad = FpPoly(p, (2, 0, 1))  # x^2 + 2, no roots mod 5
     assert all(quad(x) for x in range(p))
     assert irreducible_factor_degrees(lin * lin * lin * quad) == [1, 1, 1, 2]
-    assert irreducible_factor_degrees((lin * FpPoly(p, (-3, 1)) * quad).monic()) == [1, 1, 2]
     # p-th powers: (x-1)^3 = x^3 - 1 over F_3 has zero derivative
     lin3 = FpPoly(3, (-1, 1))
     g = lin3 * lin3 * lin3
@@ -174,6 +174,14 @@ def test_irreducible_factor_degrees_examples():
     a, b = FpPoly(3, (-1, 1)), FpPoly(3, (1, 0, 1))  # x+2 and x^2+1
     assert irreducible_factor_degrees(a * a * a * a * b * b * b) == [1, 1, 1, 1, 2, 2, 2]
     assert irreducible_factor_degrees(a * a * a * b) == [1, 1, 1, 2]
+
+
+def test_distinct_degree_factorization():
+    # the distinct-degree loop inside irreducible_factor_degrees
+    p = 5
+    quad = FpPoly(p, (2, 0, 1))
+    f = (FpPoly(p, (-1, 1)) * FpPoly(p, (-3, 1)) * quad).monic()
+    assert irreducible_factor_degrees(f) == [1, 1, 2]
     # two quadratics: the loop must run on while rest has degree >= 2(k+1)
     assert irreducible_factor_degrees(FpPoly(3, (1, 0, 1)) * FpPoly(3, (2, 1, 1))) == [2, 2]
 
