@@ -139,16 +139,12 @@ def degenerate(
     g1, g2, g3, g4 = f.perms
     rho = compose(g3, g4)
     lengths = cycle_lengths(rho)
-    if len(lengths) == 0:
-        node = NodeClass("single", (1,))  # unramified node
-    elif len(lengths) == 1:
-        node = NodeClass("single", lengths)
-    elif len(lengths) == 2:
-        node = NodeClass("pair", lengths)
-    else:
+    if len(lengths) > 2:
         raise InvalidTypeError(
             f"node monodromy has cycle type {lengths}; expected one cycle or two"
         )
+    # no cycle at all is the unramified node *1
+    node = NodeClass("pair" if len(lengths) == 2 else "single", lengths or (1,))
     return (g1, g2, rho), (inverse(rho), g3, g4), node
 
 

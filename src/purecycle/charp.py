@@ -91,9 +91,7 @@ class ReductionCount:
         return ReductionCount(total - self.hi, total - self.lo)
 
     def __str__(self) -> str:
-        if self.is_exact:
-            return str(self.lo)
-        return f"{{{self.lo}|{self.hi}}}"
+        return str(self.lo) if self.is_exact else f"{{{self.lo}|{self.hi}}}"
 
 
 def _delta_undetermined(e1: int, e2: int, e3: int) -> bool:
@@ -153,11 +151,7 @@ def signature_check(p: int, classes: Sequence[Sequence[int]]) -> bool:
     r = len(classes)
     if r not in (3, 4):
         raise InvalidTypeError("signature identity applies to r in {3, 4}")
-    tails = []
-    for cl in classes:
-        lengths = tuple(cl)
-        if lengths != (p,):
-            tails.append(tail_invariants(p, lengths))
+    tails = [tail_invariants(p, tuple(cl)) for cl in classes if tuple(cl) != (p,)]
     lcm = math.lcm(*(ti.m for ti in tails))
     return sum(ti.h * (lcm // ti.m) for ti in tails) == (r - 2) * lcm
 
@@ -220,9 +214,7 @@ def bad_count_2cycle(p: int, e1: int, e2: int, e3: int, e4: int) -> ReductionCou
     if e1 == e2:
         assert n % 2 == 0  # p odd makes p+1-2*e1 even
         n //= 2
-    if _delta_undetermined(e1, e2, e3):
-        return ReductionCount(n, 2 * n)
-    return ReductionCount(n, n)
+    return ReductionCount(n, 2 * n if _delta_undetermined(e1, e2, e3) else n)
 
 
 def p_hurwitz_3pt_badtype(p: int, e1: int, e2: int, e3: int, e4: int) -> ReductionCount:
@@ -281,10 +273,8 @@ def admissible_reduction_census(
             r.count for r in admissible_enumerate_char0(p, *es) if r.node.kind == "pair"
         )
         pair_bad = ReductionCount(0, min(2 * n, pair_total))
-    elif _delta_undetermined(e1, e2, e3):
-        pair_bad = ReductionCount(n, 2 * n)
     else:
-        pair_bad = ReductionCount(n, n)
+        pair_bad = ReductionCount(n, 2 * n if _delta_undetermined(e1, e2, e3) else n)
     bad = pair_bad + single_bad
     assert bad.hi < 2 * p
     if bad.is_exact:
@@ -333,6 +323,4 @@ def good_degeneration(p: int, e1: int, e2: int, e3: int, e4: int) -> bool | None
     None when e1+e2 and e3 are both even, where the question is open."""
     es = (e1, e2, e3, e4)
     _validate_sorted_pure4(p, es)
-    if _delta_undetermined(e1, e2, e3):
-        return None
-    return True
+    return None if _delta_undetermined(e1, e2, e3) else True

@@ -3,9 +3,14 @@
 Every computation is exposed as a subcommand with deterministic, scriptable
 output (table, json or csv).  Exit codes: 0 success, 1 failed check
 (``hurwitz --mode both`` or ``verify`` reports FAIL), 2 validation error or
-unreadable input file, 3 resource-guard abort.  The resource bounds are fixed
-constants, each checked before the work it limits: enumeration to degree 9, or
-11 for pure-cycle types (``hurwitz``); characteristics up to 10^12
+unreadable input file, 3 resource-guard abort, the last two with a one-line
+message.  A malformed integer list is an argparse usage error (exit 2) that
+names the argument and the bad item.  ``main`` catches only InvalidTypeError,
+BoundExceededError and OSError, so a traceback means a bug.  The resource
+bounds are fixed constants, each checked before the work it limits:
+enumeration to degree 9, or 11 for pure-cycle types (``hurwitz``), which does
+not yet bound many-point genus-0 types such as 6:2^10, 7:2^12, 8:3^7, 9:3^8
+and 11:3^10 (they run out of memory); characteristics up to 10^12
 (``arith.MAX_PRIME``), and up to 250 for ``defdatum``
 (``fppoly.KUMMER_MAX_PRIME``); up to 370 generators of degree up to 40 for
 ``group`` (``group.MAX_GROUP_GENERATORS``, ``group.MAX_GROUP_DEGREE``).
@@ -49,6 +54,7 @@ from .hurwitz import (
     hurwitz_formula_pure4,
     hurwitz_number_brute,
 )
+from .perm import parse_ints
 
 FORMATS = ("table", "json", "csv")
 
@@ -203,8 +209,7 @@ def cmd_charp(args, out) -> int:
 
 
 def cmd_defdatum(args, out) -> int:
-    exponents = tuple(int(v) for v in args.exponents.split(","))
-    datum = KummerData(args.p, exponents)
+    datum = KummerData(args.p, args.exponents)
     poly = cartier_coefficient(datum)
     row = {
         "p": args.p,
@@ -220,8 +225,7 @@ def cmd_defdatum(args, out) -> int:
 
 
 def cmd_tails(args, out) -> int:
-    lengths = tuple(int(v) for v in args.tail_class.split("-"))
-    info = tail_invariants(args.p, lengths)
+    info = tail_invariants(args.p, args.tail_class)
     row = {
         "p": args.p,
         "class": "-".join(str(e) for e in info.tail_class),
@@ -229,10 +233,9 @@ def cmd_tails(args, out) -> int:
         "m": info.m,
         "sigma": str(info.sigma),
     }
-    if len(lengths) == 1:
-        orders = tail_aut_orders(args.p, lengths[0])
-        row["aut"] = orders.full
-        row["aut0"] = orders.fixing
+    if len(args.tail_class) == 1:
+        orders = tail_aut_orders(args.p, args.tail_class[0])
+        row["aut"], row["aut0"] = orders.full, orders.fixing
     _emit([row], args.format, out)
     return 0
 
@@ -262,19 +265,28 @@ def cmd_group(args, out) -> int:
 
 
 def cmd_verify(args, out) -> int:
-    numbers = (
-        tuple(int(v) for v in args.criteria.split(","))
-        if args.criteria is not None
-        else None
-    )
-    unknown = sorted(set(numbers or ()) - {n for n, _ in acceptance.CRITERIA})
-    if unknown:
-        listed = ",".join(str(n) for n in unknown)
-        raise InvalidTypeError(f"no criterion {listed}; criteria are 1..11")
     results = acceptance.run_all(
-        numbers=numbers, slow=args.slow, echo=lambda line: out.write(line + "\n")
+        numbers=args.criteria, slow=args.slow, echo=lambda line: out.write(line + "\n")
     )
     return 0 if all(r.passed for r in results) else 1
+
+
+def _criteria(text: str) -> tuple[int, ...]:
+    numbers, known = parse_ints(text, ","), [n for n, _ in acceptance.CRITERIA]
+    if unknown := ",".join(str(n) for n in sorted(set(numbers) - set(known))):
+        raise InvalidTypeError(f"no criterion {unknown}; criteria are {known[0]}..{known[-1]}")
+    return numbers
+
+
+def _usage(parse, *args):
+    """parse(text, *args) as an argparse type: its InvalidTypeError exits 2 as
+    a usage error that names the argument."""
+    def convert(text: str):
+        try:
+            return parse(text, *args)
+        except InvalidTypeError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return convert
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -316,13 +328,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("defdatum", help="coefficient polynomial c and its roots")
     p.add_argument("p", type=int)
-    p.add_argument("exponents", help="a1,a2,a3,a4 summing to 2(p-1)")
+    p.add_argument("exponents", type=_usage(parse_ints, ","), help="a1,a2,a3,a4 summing to 2(p-1)")
     add_common(p)
     p.set_defaults(fn=cmd_defdatum)
 
     p = sub.add_parser("tails", help="tail invariants h, m, sigma")
     p.add_argument("p", type=int)
-    p.add_argument("tail_class", help="e or e1-e2")
+    p.add_argument("tail_class", type=_usage(parse_ints, "-"), help="e or e1-e2")
     add_common(p)
     p.set_defaults(fn=cmd_tails)
 
@@ -334,7 +346,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_group)
 
     p = sub.add_parser("verify", help="run the acceptance suite")
-    p.add_argument("--criteria", default=None, help="comma-separated subset, e.g. 1,4,8")
+    p.add_argument("--criteria", type=_usage(_criteria), default=None,
+                   help="comma-separated subset, e.g. 1,4,8")
     p.add_argument("--slow", action="store_true", help="include the slow M_23 census")
     p.set_defaults(fn=cmd_verify)
 
@@ -348,7 +361,7 @@ def main(argv=None) -> int:
     except BoundExceededError as exc:
         print(f"resource guard: {exc}", file=sys.stderr)
         return 3
-    except (InvalidTypeError, ValueError, OSError) as exc:
+    except (InvalidTypeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

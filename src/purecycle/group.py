@@ -29,6 +29,7 @@ from .perm import (
     identity,
     inverse,
     parse_cycles,
+    parse_ints,
 )
 
 # Entries (rows x degree) per census batch.  On the benchmark's groups
@@ -337,9 +338,13 @@ def load_generators(path: str | Path) -> tuple[int, list[Perm]]:
 
     The degree and the number of generator lines are checked against the
     group bounds before any generator is parsed."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise InvalidTypeError(f"{path} is not UTF-8 text: {exc}") from None
     lines = [
         line
-        for raw in Path(path).read_text().splitlines()
+        for raw in text.splitlines()
         if (line := raw.strip()) and not line.startswith("#")
     ]
     if not lines:
@@ -349,7 +354,7 @@ def load_generators(path: str | Path) -> tuple[int, list[Perm]]:
         raise InvalidTypeError("degree header must precede generators")
     if any(line.lower().startswith("degree:") for line in rest):
         raise InvalidTypeError("duplicate degree header")
-    degree = int(header.split(":", 1)[1])
+    (degree,) = parse_ints(header.partition(":")[2], "\n", header)  # a line has no newline
     if degree < 1:
         raise InvalidTypeError(f"degree must be positive, got {degree}")
     _check_group_bounds(degree, len(rest))

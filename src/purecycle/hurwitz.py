@@ -71,6 +71,7 @@ from .perm import (
     gather,
     identity,
     inverse,
+    parse_ints,
 )
 
 DEFAULT_MAX_DEGREE = 9
@@ -102,14 +103,8 @@ class RamificationType:
         head, sep, rest = text.partition(":")
         if not sep:
             raise InvalidTypeError(f"expected 'd:classes', got {text!r}")
-        try:
-            degree = int(head)
-            tokens = [
-                tuple(int(part) for part in tok.split("-"))
-                for tok in rest.split(",")
-            ]
-        except ValueError as exc:
-            raise InvalidTypeError(f"cannot parse type {text!r}: {exc}") from None
+        (degree,) = parse_ints(head, ":", text)  # head holds no ':', so one item
+        tokens = [parse_ints(tok, "-", text) for tok in rest.split(",")]
         if any(len(tok) > 2 for tok in tokens):
             raise InvalidTypeError("classes with more than two cycles are not supported")
         if sum(len(tok) == 2 for tok in tokens) > 1:
@@ -286,19 +281,10 @@ def _conjugates(
 def _anchor_last(perms: tuple[Perm, ...]) -> tuple[Perm, ...]:
     """A conjugate of perms whose last entry is the canonical representative
     of its class."""
-    degree = len(perms[-1])
     ordered = sorted(cycles(perms[-1]), key=lambda cyc: (-len(cyc), cyc[0]))
-    images = [-1] * degree
-    nxt = 0
-    for cyc in ordered:
-        for p in cyc:
-            images[p] = nxt
-            nxt += 1
-    for p in range(degree):
-        if images[p] < 0:
-            images[p] = nxt
-            nxt += 1
-    s = tuple(images)
+    points = [p for cyc in ordered for p in cyc]
+    points += sorted(set(range(len(perms[-1]))) - set(points))  # the fixed points
+    s = inverse(tuple(points))  # takes points[k] to k
     return tuple(conjugate(s, g) for g in perms)
 
 
@@ -414,16 +400,16 @@ def _search_generic(
     if looped:
         minima = _orbit_minima(((x,) for x in looped[0]), centralizer)
         looped[0] = [x for (x,) in sorted(minima)]
-    lefts, rights = looped[:at], looped[at:]
-    combos = itertools.product(itertools.product(*lefts), itertools.product(*rights))
+    # one flat product, so that no choice is built before its batch
+    combos = itertools.product(*looped)
     n = len(rows)
     while batch := list(itertools.islice(combos, max(1, _SEARCH_ROWS // n))):
         # slot k is the k-th choice of looped entries in the batch, and row
         # i * size + k of prod is L_k V_i R_k = g_2 ... g_r
         size = len(batch)
-        prod = rows[:, [compose_all(right + (anchor,), d) for _, right in batch]]
-        if lefts:
-            prod = np.array([compose_all(left, d) for left, _ in batch], dtype=np.int16)[
+        prod = rows[:, [compose_all(c[at:] + (anchor,), d) for c in batch]]
+        if at:
+            prod = np.array([compose_all(c[:at], d) for c in batch], dtype=np.int16)[
                 np.arange(size)[:, None], prod
             ]
         prod = prod.reshape(-1, d)
@@ -433,13 +419,13 @@ def _search_generic(
         at_rows, slots = np.divmod(hits, size)
         if hits.size:
             # g_1 is the inverse of the others' product, so it adds nothing
-            entries = np.array([left + right for left, right in batch], dtype=np.int16)
-            shared = [*entries.reshape(size, -1, d)[slots].transpose(1, 0, 2), anchor]
+            entries = np.array(batch, dtype=np.int16).reshape(size, -1, d)
+            shared = [*entries[slots].transpose(1, 0, 2), anchor]
             keep = _transitive_mask(shared, rows[at_rows])
             hits, at_rows, slots = hits[keep], at_rows[keep], slots[keep]
         for w, v, k in zip(prod[hits].tolist(), rows[at_rows].tolist(), slots.tolist()):
-            left, right = batch[k]
-            yield (inverse(w),) + left + (tuple(v),) + right + (anchor,)
+            c = batch[k]
+            yield (inverse(w),) + c[:at] + (tuple(v),) + c[at:] + (anchor,)
 
 
 # kept only because perfbench/tracer.py still resolves these two names

@@ -116,6 +116,18 @@ def from_cycles(degree: int, cycle_list: Iterable[Sequence[int]]) -> Perm:
     return tuple(images)
 
 
+def parse_ints(text: str, sep: str, whole: str | None = None) -> tuple[int, ...]:
+    """The integers of text split at sep; an item that int() rejects, an empty
+    one included, raises InvalidTypeError naming it and whole (default text)."""
+    out = []
+    for item in text.split(sep):
+        try:
+            out.append(int(item))
+        except ValueError:
+            raise InvalidTypeError(f"not an integer: {item!r} in {whole or text!r}") from None
+    return tuple(out)
+
+
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
 
 
@@ -130,7 +142,7 @@ def parse_cycles(degree: int, text: str) -> Perm:
     for body in _CYCLE_RE.findall(stripped):
         if not body:
             continue
-        pts = [int(tok) for tok in body.split(",")]
+        pts = parse_ints(body, ",", text)
         if any(p < 1 for p in pts):
             raise InvalidTypeError(f"points are 1-based in {text!r}")
         cycle_list.append([p - 1 for p in pts])

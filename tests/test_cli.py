@@ -2,12 +2,16 @@ import contextlib
 import hashlib
 import importlib.util
 import io
+import itertools
 import json
+import tempfile
 import time
 from importlib import resources
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import purecycle.cli
 from purecycle.cli import main
@@ -431,15 +435,182 @@ def test_verify_rejects_format():
 
 
 def test_verify_rejects_unknown_criteria():
+    """A bad --criteria is a usage error: exit 2 before any criterion runs,
+    with a message that names the option and the bad item."""
     for criteria, message in [
         ("2,99,0", "no criterion 0,99; criteria are 1..11"),
         # an empty list is an error, not "run every criterion"
-        ("", "invalid literal for int() with base 10: ''"),
+        ("", "not an integer: '' in ''"),
+        ("2,,3", "not an integer: '' in '2,,3'"),
+        ("a", "not an integer: 'a' in 'a'"),
     ]:
-        code, out, err = run_cli("verify", "--criteria", criteria)
-        assert code == 2
-        assert out == ""
-        assert err == f"error: {message}\n"
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            with pytest.raises(SystemExit) as exc:
+                main(["verify", "--criteria", criteria])
+        assert exc.value.code == 2
+        assert out.getvalue() == ""
+        assert err.getvalue().endswith(
+            f"purecycle verify: error: argument --criteria: {message}\n"
+        )
+
+
+def test_a_bug_is_not_reported_as_a_validation_error(monkeypatch):
+    """main maps only the package's own errors and OSError to exit codes, so
+    any other exception, such as a ValueError from a bug, keeps its traceback."""
+    def broken(args, out):
+        raise ValueError("a bug")
+
+    monkeypatch.setattr(purecycle.cli, "cmd_tails", broken)
+    with pytest.raises(ValueError, match="a bug"):
+        main(["tails", "7", "3"])
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("tails", "7", "3-"), "argument tail_class: not an integer: '' in '3-'"),
+        (("tails", "7", "x"), "argument tail_class: not an integer: 'x' in 'x'"),
+        (("defdatum", "5", "2,,2,4"), "argument exponents: not an integer: '' in '2,,2,4'"),
+        (("defdatum", "5", "2,2,2,4.0"), "argument exponents: not an integer: '4.0' in '2,2,2,4.0'"),
+    ],
+)
+def test_malformed_integer_lists_are_usage_errors(argv, message):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+    assert exc.value.code == 2
+    assert err.getvalue().endswith(f"purecycle {argv[0]}: error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "type_text, message",
+    [
+        ("5:2,,4,4", "not an integer: '' in '5:2,,4,4'"),
+        ("x:2,2,4,4", "not an integer: 'x' in 'x:2,2,4,4'"),
+        ("5:2,2-,4", "not an integer: '' in '5:2,2-,4'"),
+        ("5:2,2,4:4", "not an integer: '4:4' in '5:2,2,4:4'"),
+    ],
+)
+def test_malformed_type_names_the_item_and_the_type(type_text, message):
+    assert run_cli("hurwitz", type_text) == (2, "", f"error: {message}\n")
+
+
+# -- the exit-code contract over the whole CLI grammar ---------------------------
+
+
+def _genus0_types(max_degree=7, max_points=5):
+    """Every genus-0 type of degree <= max_degree with at most max_points
+    classes and at most one two-cycle class, classes sorted, as CLI text.
+    Random text is almost never genus 0, so the grammar draws these too."""
+    out = []
+    for d in range(3, max_degree + 1):
+        singles = [(e,) for e in range(2, d + 1)]
+        pairs = [(a, b) for a in range(2, d) for b in range(a, d + 1 - a)]
+        for r in range(3, max_points + 1):
+            for classes in itertools.combinations_with_replacement(singles, r):
+                shapes = [classes] + [(pair, *classes[1:]) for pair in pairs]
+                for shape in shapes:
+                    if sum(sum(c) - len(c) for c in shape) == 2 * d - 2:
+                        out.append(f"{d}:" + ",".join("-".join(map(str, c)) for c in shape))
+    return out
+
+
+GENUS0_TYPES = _genus0_types()
+PURE4_TYPES = [t for t in GENUS0_TYPES if t.count(",") == 3 and "-" not in t]
+# one integer as typed: small, 30 digits, empty, or not an integer at all
+INT_ITEMS = st.one_of(
+    st.integers(-1, 7).map(str),
+    st.integers(10**29, 10**30 - 1).map(str),
+    st.sampled_from(["", " ", "a", "1.5", "0x3", "+", "-", ":", "(", "\u0663"]),
+)
+# an empty item makes a doubled separator
+COMMA_INTS = st.lists(INT_ITEMS, min_size=1, max_size=5).map(",".join)
+DASH_INTS = st.lists(INT_ITEMS, min_size=1, max_size=3).map("-".join)
+# degree at most 7 and at most 5 classes, so that every enumeration is quick
+TYPES = st.one_of(
+    st.sampled_from(GENUS0_TYPES),
+    st.builds(
+        lambda degree, colon, classes: degree + colon + ",".join(classes),
+        st.one_of(st.integers(1, 7).map(str), INT_ITEMS),
+        st.sampled_from([":", "::", ""]),
+        st.lists(st.one_of(st.integers(2, 7).map(str), DASH_INTS), min_size=1, max_size=5),
+    ),
+)
+FORMATS = st.sampled_from([[], ["--format", "table"], ["--format", "json"], ["--format", "csv"]])
+KUMMER_VECTORS = [
+    (str(p), f"{a1},{a2},{a3},{2 * p - 2 - a1 - a2 - a3}")
+    for p in (3, 5, 7)
+    for a1, a2, a3 in itertools.product(range(p), repeat=3)
+    if 0 <= 2 * p - 2 - a1 - a2 - a3 < p
+]
+TAIL_CLASSES = [(str(p), c) for p in (5, 7, 11) for c in ("2", "3", "4", "2-2", "2-3", "3-3")]
+# never only known criteria, so that no criterion runs
+BAD_CRITERIA = st.builds(
+    lambda known, bad: ",".join(known + bad),
+    st.sampled_from([[], ["2"]]),
+    st.lists(st.sampled_from(["", "0", "12", "-1", "a", "1.5", "9" * 30]), min_size=1, max_size=3),
+)
+CYCLES = st.lists(st.integers(1, 7), min_size=2, max_size=4, unique=True).map(
+    lambda pts: "(" + ",".join(map(str, pts)) + ")"
+)
+GENERATOR_FILES = st.one_of(
+    st.builds(
+        lambda degree, gens: f"degree: {degree}\n{chr(10).join(gens)}\n".encode(),
+        st.sampled_from(["7", "7", "7", " 7", "x", "", "7:7", "9" * 30]),
+        st.lists(st.one_of(CYCLES, CYCLES, COMMA_INTS.map("({})".format)), min_size=1, max_size=3),
+    ),
+    st.binary(max_size=40),
+    st.just("# m\xe9lange\ndegree: 3\n(1,2)\n".encode("latin-1")),
+)
+ARGVS = st.one_of(
+    st.builds(lambda t, mode, fmt: (["hurwitz", t, *mode, *fmt], None), TYPES,
+              st.sampled_from([[], ["--mode", "formula"], ["--mode", "brute"], ["--list"]]),
+              FORMATS),
+    st.builds(lambda cmd, t, fmt: ([cmd, t, *fmt], None), st.sampled_from(["braid", "charp"]),
+              st.one_of(st.sampled_from(PURE4_TYPES), TYPES), FORMATS),
+    st.builds(lambda t, char, fmt: (["admissible", t, *char, *fmt], None),
+              st.one_of(st.sampled_from(PURE4_TYPES), TYPES),
+              st.one_of(st.sampled_from([[], ["--char", "5"], ["--char", "7"]]),
+                        INT_ITEMS.map(lambda p: ["--char", p])), FORMATS),
+    st.builds(lambda pa, fmt: (["defdatum", *pa, *fmt], None),
+              st.one_of(st.sampled_from(KUMMER_VECTORS),
+                        st.tuples(st.one_of(st.sampled_from(["3", "5", "251"]), INT_ITEMS),
+                                  COMMA_INTS)), FORMATS),
+    st.builds(lambda pe, fmt: (["tails", *pe, *fmt], None),
+              st.one_of(st.sampled_from(TAIL_CLASSES),
+                        st.tuples(st.one_of(st.sampled_from(["7", "1009"]), INT_ITEMS),
+                                  DASH_INTS)), FORMATS),
+    st.builds(lambda census, cap, fmt, data: (["group", "FILE", *census, *cap, *fmt], data),
+              st.sampled_from([[], ["--census"]]),
+              st.one_of(st.just([]), INT_ITEMS.map(lambda c: ["--census-cap", c])),
+              FORMATS, GENERATOR_FILES),
+    st.builds(lambda criteria: (["verify", "--criteria", criteria], None), BAD_CRITERIA),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(ARGVS)
+def test_every_argv_exits_0_to_3_without_a_traceback(case):
+    """Any argv, well formed or not, returns an exit code in 0..3 or is an
+    argparse usage error (SystemExit 2), and no other exception leaves main."""
+    argv, data = case
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        if data is not None:
+            path = Path(tmp) / "gens.txt"
+            path.write_bytes(data)
+            argv = [str(path) if a == "FILE" else a for a in argv]
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                assert exc.code == 2, argv
+                code = 2
+    assert code in (0, 1, 2, 3), argv
+    assert "Traceback" not in err.getvalue()
+    assert "invalid literal" not in err.getvalue()
 
 
 def test_hurwitz_list_emits_json_lines():

@@ -380,6 +380,16 @@ def test_generator_file_parsing(tmp_path):
     with pytest.raises(InvalidTypeError):
         load_generators(headerless)
 
+    bad_degree = tmp_path / "bad_degree.txt"
+    bad_degree.write_text("degree: x\n(1,2)\n")
+    with pytest.raises(InvalidTypeError, match="not an integer: ' x'"):
+        load_generators(bad_degree)
+
+    latin1 = tmp_path / "latin1.txt"
+    latin1.write_bytes("# m\xe9lange\ndegree: 4\n(1,2)\n".encode("latin-1"))
+    with pytest.raises(InvalidTypeError, match="is not UTF-8 text"):
+        load_generators(latin1)
+
 
 def test_transitivity_helper():
     assert is_transitive(s_n_gens(5), 5)

@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -443,6 +444,24 @@ def test_batch_filters_agree_with_per_row_checks(batch):
     assert _transitive_mask(shared, words).tolist() == [
         is_transitive(shared + (g,), d) for g in rows
     ]
+
+
+def test_search_streams_the_looped_choices():
+    """The first raw tuple comes before the choices of the looped entries are
+    all built.  The five looped 2-cycle classes of 6:2^6,3,3 have 3 * 15^4 =
+    151,875 choices (3 orbit minima for the first); building them all before
+    the first batch peaked at 13 MB, one lazy product peaks at about 0.4 MB."""
+    t = RamificationType.parse("6:2,2,2,2,2,2,3,3")
+    classes = tuple(t.classes[i] for i in _search_order(t.classes))
+    anchor = classes[-1].canonical_representative()
+    raw = _search_generic(t.degree, classes, anchor, _centralizer(anchor))
+    tracemalloc.start()
+    try:
+        next(raw)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 @pytest.mark.parametrize(

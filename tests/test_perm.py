@@ -120,6 +120,10 @@ def test_parse_cycles_rejects_garbage():
         parse_cycles(3, "(0,1)")  # 1-based points
     with pytest.raises(InvalidTypeError):
         parse_cycles(3, "1,2,3")
+    with pytest.raises(InvalidTypeError, match="not an integer: 'a'"):
+        parse_cycles(3, "(1,a)")
+    with pytest.raises(InvalidTypeError, match="not an integer: ''"):
+        parse_cycles(3, "(1,,2)")  # a doubled separator leaves an empty item
 
 
 def test_cycle_type_validation():
