@@ -8,10 +8,10 @@ message.  A malformed integer list is an argparse usage error (exit 2) that
 names the argument and the bad item.  ``main`` catches only InvalidTypeError,
 BoundExceededError and OSError, so a traceback means a bug.  The resource
 bounds are fixed constants, each checked before the work it limits:
-enumeration to degree 9, or 11 for pure-cycle types (``hurwitz``), which does
-not yet bound many-point genus-0 types such as 6:2^10, 7:2^12, 8:3^7, 9:3^8
-and 11:3^10 (they run out of memory); characteristics up to 10^12
-(``arith.MAX_PRIME``), and up to 250 for ``defdatum``
+enumeration to degree 9, or 11 for pure-cycle types, and to about 10^7 search
+rows (``hurwitz.MAX_SEARCH_ROWS``), which refuses many-point genus-0 types
+such as 6:2^10, 7:2^12, 8:3^7, 9:3^8 and 11:3^10; characteristics up to
+10^12 (``arith.MAX_PRIME``), and up to 250 for ``defdatum``
 (``fppoly.KUMMER_MAX_PRIME``); up to 370 generators of degree up to 40 for
 ``group`` (``group.MAX_GROUP_GENERATORS``, ``group.MAX_GROUP_DEGREE``).
 ``group --census`` enumerates groups of order at most ``--census-cap``

@@ -17,9 +17,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
-from typing import Iterator, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .errors import BoundExceededError, InvalidTypeError
 from .perm import (
@@ -31,6 +29,9 @@ from .perm import (
     parse_cycles,
     parse_ints,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # Entries (rows x degree) per census batch.  On the benchmark's groups
 # (two-generator subgroups of S_6 to S_9, M_11, PGammaL(2,16)), 2^16 and 2^17
@@ -252,6 +253,7 @@ def cycle_type_keys(words: np.ndarray) -> np.ndarray:
     1-D uint64 array; above, each row's words are viewed as one void record.
     _key_lengths reads a key back.
     """
+    import numpy as np
     n, degree = words.shape
     top = max(degree // 2, 1)
     width = degree.bit_length()
@@ -284,6 +286,7 @@ def _key_lengths(key: int | bytes, degree: int) -> tuple[int, ...]:
     c_1, ..., c_top follow in turn.  The points outside those cycles lie in
     cycles longer than d / 2, of which there is at most one.
     """
+    import numpy as np
     top = max(degree // 2, 1)
     width = degree.bit_length()
     per_word = 64 // width
@@ -307,6 +310,7 @@ def _census_batched(chain: StabilizerChain) -> Counter[tuple[int, ...]]:
     their cycle_type_keys across all batches; each distinct key is then read
     back as cycle lengths once.
     """
+    import numpy as np
     degree = chain.degree
     sizes = [len(t) for t in chain.transversals]
     split = len(sizes)

@@ -51,9 +51,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 from .arith import is_prime
 from .errors import BoundExceededError, InvalidTypeError
@@ -63,6 +61,7 @@ from .perm import (
     Perm,
     all_of_type,
     centralizer_elements,
+    centralizer_order,
     class_array,
     compose_all,
     conjugate,
@@ -74,8 +73,20 @@ from .perm import (
     parse_ints,
 )
 
+if TYPE_CHECKING:
+    import numpy as np
+
 DEFAULT_MAX_DEGREE = 9
 PURE_CYCLE_MAX_DEGREE = 11
+
+# Bound on _search_rows, checked before the search.  Every type that the tests,
+# verify and the benchmark workloads enumerate is at most 6.9e6 (11:5,5,5,9 in
+# 0.15 s, and 11:6,6,6,6 at 4.3e6 in 0.8 s).  The five genus-0 types that ran
+# out of memory under the degree rule alone are at least 4.9e7 (8:3^7, 6:2^10,
+# 9:3^8, 7:2^12, 11:3^10).  Types timed between 5e6 and 1e7 took 1.1-14 s, and
+# 10:4,4,5,5,5 at 1.6e7 took 12 s (2 cores, Python 3.11, numpy 2.4).  The rows
+# do not bound memory: 7:2^6,4,4 at 3.6e6 keeps over 1.3 GB of classes.
+MAX_SEARCH_ROWS = 10**7
 
 
 @dataclass(frozen=True)
@@ -355,6 +366,7 @@ def _transitive_mask(shared: Sequence[Perm | np.ndarray], rows: np.ndarray) -> n
     HurwitzFactorization validation keeps it.  Both figures are from 2 cores
     with Python 3.11 and numpy 2.4.
     """
+    import numpy as np
     n, d = rows.shape
     # each generator as one permutation of n*d positions, row i's point x at
     # position i*d + x, so that following labels needs only 1-D indexing
@@ -369,6 +381,16 @@ def _transitive_mask(shared: Sequence[Perm | np.ndarray], rows: np.ndarray) -> n
         if (new == labels).all():
             return (labels.reshape(n, d) == starts).all(axis=1)
         labels = new
+
+
+def _search_rows(classes: tuple[CycleType, ...]) -> int:
+    """About how many candidate rows _search_generic tests for classes in
+    search order, from class sizes alone: the product of the middle classes'
+    sizes, over |Z| when a class is looped, Z the anchor's centralizer, since
+    the first looped class runs over about |C| / |Z| orbit minima."""
+    middle = classes[1:-1]
+    rows = math.prod(cl.class_size() for cl in middle)
+    return rows if len(middle) == 1 else rows // centralizer_order(classes[-1])
 
 
 # Rows per numpy batch of the search.  On the hurwitz_sweep op set, batches of
@@ -389,6 +411,7 @@ def _search_generic(
     found are a subset of the raw set whose closure under conjugation by
     centralizer is all of it.  Each batch takes V with as many choices of the
     looped entries as keep it within _SEARCH_ROWS rows, and at least one."""
+    import numpy as np
     key = cycle_type_keys(np.array([classes[0].canonical_representative()], dtype=np.int16))
     fixed = d - classes[0].moved
     idx = np.arange(d, dtype=np.int16)
@@ -453,7 +476,8 @@ def _orbit_minima(
 
 def enumerate_factorizations(t: RamificationType) -> list[HurwitzFactorization]:
     """All Hurwitz factorizations of type t, one canonical representative per
-    uniform-conjugacy class, sorted.
+    uniform-conjugacy class, sorted.  A type over the degree bound or over
+    MAX_SEARCH_ROWS is refused before the search.
     """
     max_degree = PURE_CYCLE_MAX_DEGREE if t.is_pure_cycle else DEFAULT_MAX_DEGREE
     if t.degree > max_degree:
@@ -466,6 +490,11 @@ def enumerate_factorizations(t: RamificationType) -> list[HurwitzFactorization]:
 
     order = _search_order(t.classes)
     classes = tuple(t.classes[i] for i in order)
+    rows = _search_rows(classes)
+    if rows > MAX_SEARCH_ROWS:
+        raise BoundExceededError(
+            f"about {rows:.1e} search rows exceed enumeration row bound {MAX_SEARCH_ROWS:.0e}"
+        )
     anchor = classes[-1].canonical_representative()
     centralizer = _centralizer(anchor)
     seen = _orbit_minima(_search_generic(d, classes, anchor, centralizer), centralizer)

@@ -24,11 +24,12 @@ import math
 import re
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 from .errors import BoundExceededError, InvalidTypeError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 Perm = tuple[int, ...]
 
@@ -277,6 +278,7 @@ def centralizer_elements(g: Perm) -> list[Perm]:
 def _choices(d: int, start: int, m: int, l: int) -> np.ndarray:
     """One row per l-subset of the m positions from start: 0..d-1 with that
     subset leading those m positions, itself and the rest of them increasing."""
+    import numpy as np
     window = set(range(start, start + m))
     rows = [[*range(start), *sub, *sorted(window - set(sub)), *range(start + m, d)]
             for sub in itertools.combinations(sorted(window), l)]
@@ -293,6 +295,7 @@ def class_array(t: CycleType) -> np.ndarray:
     at least the last leader's rank among them), then, one point at a time,
     every order of each cycle's points after its leader.
     """
+    import numpy as np
     d = t.degree
     words = np.arange(d, dtype=np.int16)[None]
     start = prev = 0

@@ -4,6 +4,9 @@ import importlib.util
 import io
 import itertools
 import json
+import os
+import subprocess
+import sys
 import tempfile
 import time
 from importlib import resources
@@ -75,6 +78,24 @@ def test_bound_exceeded_exit3():
         assert code == 3
         assert out == ""
         assert err.startswith("resource guard: degree ")
+
+
+@pytest.mark.parametrize("type_text", [
+    "8:" + ",".join(["3"] * 7),
+    "6:" + ",".join(["2"] * 10),
+    "9:" + ",".join(["3"] * 8),
+    "7:" + ",".join(["2"] * 12),
+    "11:" + ",".join(["3"] * 10),
+])
+def test_many_point_types_exit3_before_the_search(type_text):
+    """Genus-0 types that pass the degree rule but ran out of memory in the
+    search are refused by the row bound, before any class is built."""
+    start = time.perf_counter()
+    code, out, err = run_cli("hurwitz", type_text, "--mode", "brute")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (3, "")
+    assert err.startswith("resource guard: about ") and err.endswith(
+        " search rows exceed enumeration row bound 1e+07\n")
 
 
 def test_environment_does_not_change_bounds(monkeypatch):
@@ -611,6 +632,35 @@ def test_every_argv_exits_0_to_3_without_a_traceback(case):
     assert code in (0, 1, 2, 3), argv
     assert "Traceback" not in err.getvalue()
     assert "invalid literal" not in err.getvalue()
+
+
+# Runs in a fresh interpreter, so that the modules pytest has already
+# imported do not count.  Prints, after each argv, whether numpy is loaded.
+NUMPY_PROBE = """
+import contextlib, io, json, sys
+from importlib import resources
+import purecycle.cli
+m11 = str(resources.files("purecycle") / "data" / "m11.txt")
+loaded = {"import": "numpy" in sys.modules}
+for argv in (["tails", "7", "3"], ["defdatum", "13", "6,6,6,6"], ["charp", "7:3,3,5,5"],
+             ["admissible", "7:3,3,5,5", "--char", "7"], ["group", m11],
+             ["hurwitz", "5:2,2,4,4"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert purecycle.cli.main(argv) == 0, argv
+    loaded[argv[0]] = "numpy" in sys.modules
+print(json.dumps(loaded))
+"""
+
+
+def test_numpy_is_imported_only_by_enumeration():
+    src = str(Path(purecycle.cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", NUMPY_PROBE], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, timeout=60, check=True)
+    assert json.loads(proc.stdout) == {
+        "import": False, "tails": False, "defdatum": False, "charp": False,
+        "admissible": False, "group": False, "hurwitz": True,
+    }
 
 
 def test_hurwitz_list_emits_json_lines():

@@ -1,11 +1,12 @@
 import functools
 import itertools
 import math
+import operator
 import random
 import time
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from purecycle.arith import is_prime
@@ -53,8 +54,76 @@ def test_poly_ring_axioms_random():
 
 
 def test_poly_mixed_moduli_rejected():
+    a, b = FpPoly(5, (1, 2)), FpPoly(7, (1,))
+    for op in (operator.add, operator.sub, operator.mul, divmod):
+        with pytest.raises(InvalidTypeError):
+            op(a, b)
+
+
+@pytest.mark.parametrize("p", [4, 1, 0, -3, 91])
+def test_poly_composite_modulus_rejected(p):
     with pytest.raises(InvalidTypeError):
-        FpPoly(5, (1,)) + FpPoly(7, (1,))
+        FpPoly(p, (1, 2))
+
+
+PRIMES_TO_997 = [q for q in range(2, 998) if is_prime(q)]
+
+
+def _is_reduced(f):
+    """Trimmed, with every coefficient in [0, p)."""
+    return all(0 <= c < f.p for c in f.coeffs) and (not f.coeffs or f.coeffs[-1] != 0)
+
+
+@st.composite
+def poly_pairs(draw):
+    """(a, b) over one prime up to 997, b a nonzero constant, linear or of
+    higher degree; coefficients range past [0, p) and a's degree may be below
+    b's."""
+    p = draw(st.sampled_from(PRIMES_TO_997))
+    coeff = st.integers(-3 * p, 3 * p)
+    a = draw(st.lists(coeff, max_size=30))
+    low = draw(st.lists(coeff, min_size=draw(st.sampled_from([0, 1, 2, 5, 12])),
+                        max_size=12))
+    lead = draw(st.integers(1, p - 1))
+    return FpPoly(p, a), FpPoly(p, [*low, lead])
+
+
+@given(poly_pairs())
+def test_divmod_property(pair):
+    a, b = pair
+    q, r = divmod(a, b)
+    assert q * b + r == a
+    assert r.degree() < b.degree()
+    assert all(map(_is_reduced, (q, r)))
+    assert (q, r) == (a // b, a % b)
+
+
+@given(poly_pairs())
+def test_ring_results_are_reduced(pair):
+    a, b = pair
+    results = (a + b, a - b, b - b, -a, a * b, a * 0, a * -1, 3 * a, a.monic(),
+               a.derivative())
+    assert all(map(_is_reduced, results))
+    assert (b - b).is_zero() and (a * 0).is_zero()
+
+
+@settings(max_examples=200)
+@given(st.sampled_from([2, 3, 5, 7, 11, 13]).flatmap(lambda p: st.tuples(
+    st.just(p),
+    st.lists(st.integers(-2 * p, 2 * p), max_size=8),
+    st.lists(st.integers(-2 * p, 2 * p), max_size=8),
+    st.integers(-2 * p, 2 * p),
+)))
+def test_ring_operations_agree_with_pointwise_evaluation(case):
+    p, u, v, k = case
+    a, b = FpPoly(p, u), FpPoly(p, v)
+    for x in range(p):
+        ax, bx = a(x), b(x)
+        assert (a + b)(x) == (ax + bx) % p
+        assert (a - b)(x) == (ax - bx) % p
+        assert (-a)(x) == -ax % p
+        assert (a * b)(x) == ax * bx % p
+        assert (a * k)(x) == (k * a)(x) == ax * k % p
 
 
 def test_derivative():

@@ -16,6 +16,7 @@ import purecycle.hurwitz as hurwitz
 from purecycle.errors import BoundExceededError, InvalidTypeError
 from purecycle.group import GroupReport, cycle_type_keys, group_analyze, is_transitive
 from purecycle.hurwitz import (
+    MAX_SEARCH_ROWS,
     HurwitzFactorization,
     RamificationType,
     canonical_form,
@@ -34,6 +35,7 @@ from purecycle.hurwitz import (
     _orbit_minima,
     _search_generic,
     _search_order,
+    _search_rows,
     _to_type_order,
     _transitive_mask,
 )
@@ -162,6 +164,23 @@ def test_enumeration_bound_guard():
         enumerate_factorizations(RamificationType.pure(12, (6, 6, 7, 7)))
     with pytest.raises(BoundExceededError):
         enumerate_factorizations(pair_type(10, 2, 2, 8, 10))  # non-pure bound is 9
+
+
+def test_search_row_bound_separates_the_timed_types():
+    """MAX_SEARCH_ROWS lies between the largest type enumerated anywhere in the
+    tests and the smallest genus-0 type that ran out of memory."""
+    def rows(text):
+        t = RamificationType.parse(text)
+        return _search_rows(tuple(t.classes[i] for i in _search_order(t.classes)))
+
+    # two middle 5-cycle classes of 11!/(5 * 6!) = 11,088 elements, over |Z| = 9 * 2!
+    assert rows("11:5,5,5,9") == 11_088**2 // 18 == 6_830_208
+    assert rows("11:6,6,6,6") == 4_268_880
+    # five middle 3-cycle classes of 112 elements, over |Z| = 3 * 5!
+    assert rows("8:" + ",".join(["3"] * 7)) == 112**5 // 360 == 48_953_935
+    assert rows("11:5,5,5,9") <= MAX_SEARCH_ROWS < rows("8:" + ",".join(["3"] * 7))
+    # three branch points loop over no class, so nothing is divided by |Z|
+    assert rows("7:3,5,7") == CycleType(7, (3,)).class_size()
 
 
 def test_enumeration_parity_obstruction_gives_empty():
