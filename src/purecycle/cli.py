@@ -10,7 +10,10 @@ BoundExceededError and OSError, so a traceback means a bug.  The resource
 bounds are fixed constants, each checked before the work it limits:
 enumeration to degree 9, or 11 for pure-cycle types, and to about 10^7 search
 rows (``hurwitz.MAX_SEARCH_ROWS``), which refuses many-point genus-0 types
-such as 6:2^10, 7:2^12, 8:3^7, 9:3^8 and 11:3^10; characteristics up to
+such as 6:2^10, 7:2^12, 8:3^7, 9:3^8 and 11:3^10.  The rows bound time, not
+memory: ``hurwitz --mode brute|both`` counts in constant memory, and only
+``hurwitz --list`` and ``braid`` store the classes (h |Z| tuples, Z the
+centralizer of one class); characteristics up to
 10^12 (``arith.MAX_PRIME``), and up to 250 for ``defdatum``
 (``fppoly.KUMMER_MAX_PRIME``); up to 370 generators of degree up to 40 for
 ``group`` (``group.MAX_GROUP_GENERATORS``, ``group.MAX_GROUP_DEGREE``).

@@ -23,22 +23,34 @@ first two compare the solved entry with its class: first by the number of
 fixed points alone, then by the integer key of the fixed-point counts of its
 powers that the group census counts by (group.cycle_type_keys), which fixes
 the cycle type.  The third tests transitivity by min-label propagation.  Only
-the rows that pass all three become tuples.
-Deduplication sweeps Z-orbits: a tuple not seen before marks its whole orbit
-seen and keeps the orbit's lexicographically least tuple.  Each centralizer is
-built once per enumeration as pairs of z and the gather of z^-1 (perm.gather),
-and each entry g of a tuple as one gather, so z g z^-1 is two C-level gathers,
-compose(compose(z, g), z^-1), with no Python loop over points.  A canonical
-form conjugates the first entry by all of Z and the rest only by the z that
-give its least conjugate, since the first entry decides the order.  Numpy does
-not pay here: |Z| is about 12 and the braid walk conjugates one tuple at a
-time, and one (|Z|, r, d) gather with a lexicographic minimum was slower.  If the
-order moved, each representative is carried back to the type's class order by
-the Hurwitz moves (a, b) -> (a b a^-1, a), which keep the product and the
-generated group and commute with uniform conjugation, and is then put in
-canonical form over the centralizer of the type's last class, computed once
-per type.  Every returned representative is in that canonical form, and the
-list is sorted, so output is deterministic.
+the rows that pass all three are kept.
+
+hurwitz_number_brute counts the classes from these rows and stores none.  By
+Burnside's lemma over Z, h |Z| is the sum of |Stab_Z(t)| over the raw tuples
+t.  The search meets only the raw tuples whose first looped entry x is the
+least of its Z-orbit, and conjugation carries them onto those with any other x
+of the orbit, so each row found counts [Z : Z_x] times, Z_x the z that fix x
+(with no looped class the search meets every raw tuple and Z_x is Z).
+Stab_Z(t) lies in Z_x, so only the rows with a nontrivial Z_x are tested, all
+z at once in numpy.  The sum must be a multiple of |Z|, and memory stays at one
+batch.
+
+enumerate_factorizations, behind ``hurwitz --list`` and the braid walk, stores
+the classes.  Deduplication sweeps Z-orbits: a tuple not seen before marks its
+whole orbit seen and keeps the orbit's lexicographically least tuple.  Each
+centralizer is built once per enumeration as pairs of z and the gather of z^-1
+(perm.gather), and each entry g of a tuple as one gather, so z g z^-1 is two
+C-level gathers, compose(compose(z, g), z^-1), with no Python loop over
+points.  A canonical form conjugates the first entry by all of Z and the rest
+only by the z that give its least conjugate, since the first entry decides the
+order.  Numpy does not pay here: |Z| is about 12 and the braid walk conjugates
+one tuple at a time, and one (|Z|, r, d) gather with a lexicographic minimum
+was slower.  If the order moved, each representative is carried back to the
+type's class order by the Hurwitz moves (a, b) -> (a b a^-1, a), which keep
+the product and the generated group and commute with uniform conjugation, and
+is then put in canonical form over the centralizer of the type's last class,
+computed once per type.  Every returned representative is in that canonical
+form, and the list is sorted, so output is deterministic.
 
 Closed formulas are provided for genus-0 pure-cycle types with three or four
 branch points (rigidity and the min e_i(d+1-e_i) count) and for types with a
@@ -85,7 +97,9 @@ PURE_CYCLE_MAX_DEGREE = 11
 # out of memory under the degree rule alone are at least 4.9e7 (8:3^7, 6:2^10,
 # 9:3^8, 7:2^12, 11:3^10).  Types timed between 5e6 and 1e7 took 1.1-14 s, and
 # 10:4,4,5,5,5 at 1.6e7 took 12 s (2 cores, Python 3.11, numpy 2.4).  The rows
-# do not bound memory: 7:2^6,4,4 at 3.6e6 keeps over 1.3 GB of classes.
+# bound time, not memory.  hurwitz_number_brute counts in one batch: 7:2^6,4,4
+# at 3.6e6 rows takes 4.3 s at 32 MB.  Only enumerate_factorizations stores the
+# classes, h |Z| tuples, over 1.3 GB for that type.
 MAX_SEARCH_ROWS = 10**7
 
 
@@ -399,25 +413,36 @@ def _search_rows(classes: tuple[CycleType, ...]) -> int:
 _SEARCH_ROWS = 2**12
 
 
-def _search_generic(
+def _vectorized(middle: tuple[CycleType, ...]) -> int:
+    """Position among the middle classes of the one the search vectorizes:
+    the first of the largest."""
+    return max(range(len(middle)), key=lambda i: middle[i].class_size())
+
+
+def _search_batches(
     d: int, classes: tuple[CycleType, ...], anchor: Perm, centralizer: Sequence[Conjugator]
-) -> Iterator[tuple[Perm, ...]]:
-    """Raw tuples (g_1, ..., g_r) with g_r = anchor, for any r >= 3: g_2 ... g_r
-    is L V R, with V the rows of the vectorized class, L the product of the
-    looped entries left of it and R of those right of it, anchor included.
+) -> Iterator[tuple[list[tuple[Perm, ...]], np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+    """The raw tuples (g_1, ..., g_r) with g_r = anchor, for any r >= 3, as
+    numpy batches: g_2 ... g_r is L V R, with V the rows of the vectorized
+    class, L the product of the looped entries left of it and R of those right
+    of it, anchor included.
 
     The first looped class runs only over the least element of each orbit of
     centralizer, the anchor's centralizer as _centralizer pairs, so the tuples
     found are a subset of the raw set whose closure under conjugation by
     centralizer is all of it.  Each batch takes V with as many choices of the
-    looped entries as keep it within _SEARCH_ROWS rows, and at least one."""
+    looped entries as keep it within _SEARCH_ROWS rows, and at least one.
+    For each batch with a surviving row it yields (batch, slots, w, v, looped):
+    the choices of looped entries, and per surviving row the slot of its
+    choice in batch, w = g_2 ... g_r, the entry v of V and the looped entries
+    as one (rows, r - 3, d) array."""
     import numpy as np
     key = cycle_type_keys(np.array([classes[0].canonical_representative()], dtype=np.int16))
     fixed = d - classes[0].moved
     idx = np.arange(d, dtype=np.int16)
     ones = np.ones(d, dtype=np.uint8)
     middle = classes[1:-1]
-    at = max(range(len(middle)), key=lambda i: middle[i].class_size())
+    at = _vectorized(middle)
     rows = class_array(middle[at])
     looped = [list(all_of_type(cl)) for i, cl in enumerate(middle) if i != at]
     if looped:
@@ -439,14 +464,23 @@ def _search_generic(
         hits = np.nonzero((prod == idx).view(np.uint8) @ ones == fixed)[0]
         if hits.size:
             hits = hits[cycle_type_keys(prod[hits]) == key]
+        if not hits.size:
+            continue
         at_rows, slots = np.divmod(hits, size)
-        if hits.size:
-            # g_1 is the inverse of the others' product, so it adds nothing
-            entries = np.array(batch, dtype=np.int16).reshape(size, -1, d)
-            shared = [*entries[slots].transpose(1, 0, 2), anchor]
-            keep = _transitive_mask(shared, rows[at_rows])
-            hits, at_rows, slots = hits[keep], at_rows[keep], slots[keep]
-        for w, v, k in zip(prod[hits].tolist(), rows[at_rows].tolist(), slots.tolist()):
+        entries = np.array(batch, dtype=np.int16).reshape(size, -1, d)[slots]
+        # g_1 is the inverse of the others' product, so it adds nothing
+        keep = _transitive_mask([*entries.transpose(1, 0, 2), anchor], rows[at_rows])
+        if keep.any():
+            yield batch, slots[keep], prod[hits[keep]], rows[at_rows[keep]], entries[keep]
+
+
+def _search_generic(
+    d: int, classes: tuple[CycleType, ...], anchor: Perm, centralizer: Sequence[Conjugator]
+) -> Iterator[tuple[Perm, ...]]:
+    """The raw tuples of _search_batches, one (g_1, ..., g_r) per surviving row."""
+    at = _vectorized(classes[1:-1])
+    for batch, slots, prods, vs, _ in _search_batches(d, classes, anchor, centralizer):
+        for w, v, k in zip(prods.tolist(), vs.tolist(), slots.tolist()):
             c = batch[k]
             yield (inverse(w),) + c[:at] + (tuple(v),) + c[at:] + (anchor,)
 
@@ -474,27 +508,36 @@ def _orbit_minima(
     return minima
 
 
-def enumerate_factorizations(t: RamificationType) -> list[HurwitzFactorization]:
-    """All Hurwitz factorizations of type t, one canonical representative per
-    uniform-conjugacy class, sorted.  A type over the degree bound or over
-    MAX_SEARCH_ROWS is refused before the search.
-    """
+def _search_plan(t: RamificationType) -> tuple[int, ...] | None:
+    """The search order of t's classes, or None when no product of them is
+    even, let alone the identity.  A type over the degree bound or over
+    MAX_SEARCH_ROWS raises BoundExceededError, before any class is built."""
     max_degree = PURE_CYCLE_MAX_DEGREE if t.is_pure_cycle else DEFAULT_MAX_DEGREE
     if t.degree > max_degree:
         raise BoundExceededError(
             f"degree {t.degree} exceeds enumeration bound {max_degree}"
         )
-    d = t.degree
     if sum(cl.parity < 0 for cl in t.classes) % 2:
-        return []  # no product of these classes is even, let alone the identity
-
+        return None
     order = _search_order(t.classes)
-    classes = tuple(t.classes[i] for i in order)
-    rows = _search_rows(classes)
+    rows = _search_rows(tuple(t.classes[i] for i in order))
     if rows > MAX_SEARCH_ROWS:
         raise BoundExceededError(
             f"about {rows:.1e} search rows exceed enumeration row bound {MAX_SEARCH_ROWS:.0e}"
         )
+    return order
+
+
+def enumerate_factorizations(t: RamificationType) -> list[HurwitzFactorization]:
+    """All Hurwitz factorizations of type t, one canonical representative per
+    uniform-conjugacy class, sorted.  A type over the degree bound or over
+    MAX_SEARCH_ROWS is refused before the search.
+    """
+    order = _search_plan(t)
+    if order is None:
+        return []
+    d = t.degree
+    classes = tuple(t.classes[i] for i in order)
     anchor = classes[-1].canonical_representative()
     centralizer = _centralizer(anchor)
     seen = _orbit_minima(_search_generic(d, classes, anchor, centralizer), centralizer)
@@ -507,9 +550,45 @@ def enumerate_factorizations(t: RamificationType) -> list[HurwitzFactorization]:
     return [HurwitzFactorization(d, tup) for tup in sorted(seen)]
 
 
+def _fixers(perms: np.ndarray, zt: np.ndarray) -> np.ndarray:
+    """Mask of shape (..., |Z|) of the z in Z that commute with each
+    permutation of perms, shape (..., d), given Z as the columns of zt:
+    zt[g] holds z g and g[..., zt] holds g z."""
+    return (zt[perms] == perms[..., zt]).all(axis=-2)
+
+
 def hurwitz_number_brute(t: RamificationType) -> int:
-    """Cardinality of the factorization set, by exhaustive enumeration."""
-    return len(enumerate_factorizations(t))
+    """The number of uniform-conjugacy classes of Hurwitz factorizations of
+    type t, by Burnside's lemma over the raw tuples of the search, without
+    storing a class (see the module docstring).  Refused as
+    enumerate_factorizations refuses."""
+    order = _search_plan(t)
+    if order is None:
+        return 0
+    import numpy as np
+    d = t.degree
+    classes = tuple(t.classes[i] for i in order)
+    anchor = classes[-1].canonical_representative()
+    centralizer = _centralizer(anchor)
+    zt = np.array([z for z, _ in centralizer], dtype=np.int16).T
+    total = 0
+    for _, _, _, v, looped in _search_batches(d, classes, anchor, centralizer):
+        # |Z_x| for the first looped entry x, or |Z| when no class is looped
+        if looped.shape[1]:
+            fixing = _fixers(looped[:, 0], zt).sum(axis=1)
+        else:
+            fixing = np.full(len(v), len(centralizer))
+        stab = np.ones(len(v), dtype=np.int64)
+        tested = np.nonzero(fixing > 1)[0]
+        if tested.size:
+            # every entry but g_1, which the product of the others fixes
+            gens = np.concatenate([looped[tested], v[tested, None]], axis=1)
+            stab[tested] = _fixers(gens, zt).all(axis=1).sum(axis=1)
+        total += int((len(centralizer) // fixing) @ stab)
+    h, rest = divmod(total, len(centralizer))
+    if rest:  # a bug, never rounded, so raised also under python -O
+        raise AssertionError(f"{t}: {total} is not a multiple of |Z| = {len(centralizer)}")
+    return h
 
 
 # -- JSON lines export -------------------------------------------------------

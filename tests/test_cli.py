@@ -98,6 +98,14 @@ def test_many_point_types_exit3_before_the_search(type_text):
         " search rows exceed enumeration row bound 1e+07\n")
 
 
+@pytest.mark.slow
+def test_count_of_a_type_whose_classes_outgrew_memory():
+    """7:2^6,4,4 passes both bounds; storing its 83,360 classes ran out of a
+    1.5 GB address space, and counting them keeps one batch."""
+    code, out, _ = run_cli("hurwitz", "7:2,2,2,2,2,2,4,4", "--mode", "brute", "--format", "csv")
+    assert (code, out.splitlines()[-1]) == (0, '"7:2,2,2,2,2,2,4,4",brute,83360')
+
+
 def test_environment_does_not_change_bounds(monkeypatch):
     monkeypatch.setenv("PURECYCLE_PURE_MAX_DEGREE", "5")
     code, out, _ = run_cli("hurwitz", "7:2,4,4,6", "--mode", "brute")
@@ -585,7 +593,28 @@ GENERATOR_FILES = st.one_of(
     st.binary(max_size=40),
     st.just("# m\xe9lange\ndegree: 3\n(1,2)\n".encode("latin-1")),
 )
+# Genus-0 types that pass the degree rule but not the row bound: the five that
+# ran out of memory before the row bound existed, whose classes are all alike,
+# and two mixed ones, so that the shuffled class order moves something.
+OVER_BUDGET = [(6, [2] * 10), (7, [2] * 12), (8, [3] * 7), (9, [3] * 8), (11, [3] * 10),
+               (7, [2] * 10 + [3]), (8, [2, 2] + [3] * 6)]
+OVER_BUDGET_CLASSES = {(str(d), tuple(sorted(map(str, classes)))) for d, classes in OVER_BUDGET}
+
+
+def _over_budget(argv):
+    if argv[0] not in ("hurwitz", "braid"):
+        return False
+    degree, _, classes = argv[1].partition(":")
+    return (degree, tuple(sorted(classes.split(",")))) in OVER_BUDGET_CLASSES
+
+
 ARGVS = st.one_of(
+    st.builds(lambda cmd, t: (cmd + [t], None),
+              st.sampled_from([["hurwitz", "--mode", "brute"], ["hurwitz", "--mode", "both"],
+                               ["braid"]]),
+              st.sampled_from(OVER_BUDGET).flatmap(
+                  lambda dc: st.permutations(dc[1]).map(
+                      lambda order: f"{dc[0]}:" + ",".join(map(str, order))))),
     st.builds(lambda t, mode, fmt: (["hurwitz", t, *mode, *fmt], None), TYPES,
               st.sampled_from([[], ["--mode", "formula"], ["--mode", "brute"], ["--list"]]),
               FORMATS),
@@ -624,12 +653,17 @@ def test_every_argv_exits_0_to_3_without_a_traceback(case):
             path.write_bytes(data)
             argv = [str(path) if a == "FILE" else a for a in argv]
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            start = time.perf_counter()
             try:
                 code = main(argv)
             except SystemExit as exc:
                 assert exc.code == 2, argv
                 code = 2
+            seconds = time.perf_counter() - start
     assert code in (0, 1, 2, 3), argv
+    if _over_budget(argv):
+        # refused before the search: a type error or the row bound
+        assert code in (2, 3) and seconds < 1.0, (argv, code, seconds)
     assert "Traceback" not in err.getvalue()
     assert "invalid literal" not in err.getvalue()
 

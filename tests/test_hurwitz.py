@@ -563,23 +563,29 @@ def test_orbit_sweep_keeps_one_minimum_per_centralizer_orbit(text):
         assert reduced == full
 
 
+def _genus0_shapes(d):
+    """The classes of every genus-0 pure 3-point, pure 4-point and two-cycle
+    type of degree d, each in sorted order."""
+    shapes = [
+        list(map(str, es))
+        for r in (3, 4)
+        for es in itertools.combinations_with_replacement(range(2, d + 1), r)
+        if sum(es) == 2 * d + r - 2
+    ]
+    shapes += [
+        [f"{e1}-{e2}", str(e3), str(e4)]
+        for e1, e2 in itertools.combinations_with_replacement(range(2, d + 1), 2)
+        for e3, e4 in itertools.combinations_with_replacement(range(2, d + 1), 2)
+        if e1 + e2 <= d and e1 + e2 + e3 + e4 == 2 * d + 2
+    ]
+    return shapes
+
+
 def _pinned_types():
     """Every genus-0 pure 3-point, pure 4-point and two-cycle type of degree
     3 to 6 in every class order, and of degree 7 in sorted order."""
     for d in range(3, 8):
-        shapes = [
-            list(map(str, es))
-            for r in (3, 4)
-            for es in itertools.combinations_with_replacement(range(2, d + 1), r)
-            if sum(es) == 2 * d + r - 2
-        ]
-        shapes += [
-            [f"{e1}-{e2}", str(e3), str(e4)]
-            for e1, e2 in itertools.combinations_with_replacement(range(2, d + 1), 2)
-            for e3, e4 in itertools.combinations_with_replacement(range(2, d + 1), 2)
-            if e1 + e2 <= d and e1 + e2 + e3 + e4 == 2 * d + 2
-        ]
-        for shape in shapes:
+        for shape in _genus0_shapes(d):
             orders = sorted(set(itertools.permutations(shape))) if d <= 6 else [shape]
             for order in orders:
                 yield RamificationType.parse(f"{d}:" + ",".join(order))
@@ -597,6 +603,48 @@ def test_enumeration_output_is_pinned():
     assert digest.hexdigest() == (
         "75e4a701903268ad8ea29cea6265ce17489965f0bb2ad727217119b266d2b68f"
     )
+
+
+# The two-cycle types (d; e-e, e3, e4) with d, e3 and e4 even: each has one
+# class whose tuples some z of the anchor's centralizer fixes, so a count that
+# took every stabilizer as trivial would not be a multiple of |Z|.
+SELF_PAIRED = ["4:2-2,2,4", "6:2-2,4,6", "6:3-3,2,6", "6:3-3,4,4", "8:2-2,6,8", "8:3-3,4,8",
+               "8:3-3,6,6", "8:4-4,2,8", "8:4-4,4,6"]
+
+
+def test_count_equals_the_number_of_stored_classes():
+    """hurwitz_number_brute weights raw tuples by their stabilizers instead of
+    storing classes; it counts the classes that enumerate_factorizations
+    returns on every genus-0 type of the pin, every one of degree 8 in sorted
+    order, and types with many points, in sorted and in moved class order.
+    In this grammar a genus-0 cover with an automorphism has three points, so
+    the last three types, of genus 1 and 2, are the ones with a looped class
+    and a stabilizer of order 2 inside a Z_x of order 2."""
+    types = [*_pinned_types(), *(RamificationType.parse("8:" + ",".join(shape))
+                                  for shape in _genus0_shapes(8))]
+    types += map(RamificationType.parse, [
+        "5:2,2,2,2,2,2,2,2", "4:2,2,2,2,2,2", "6:2,2,3,3,3,3", "6:3,3,2,2,3,3",
+        "5:2,2,2,3,4", "6:2,2,3,3,5", "6:2,3,2,4,4", "8:8,2-6,2", "4:2,4,2,4", "6:2,6,6,6",
+        "6:4,4,6,6"])
+    assert set(SELF_PAIRED) <= {str(t) for t in types}
+    for t in types:
+        assert hurwitz_number_brute(t) == len(enumerate_factorizations(t)), str(t)
+
+
+@pytest.mark.parametrize("text, h", [("6:2,2,3,3,3,3", 720), ("5:2,2,2,2,2,2,2,2", 8400)])
+def test_count_stores_no_classes(text, h):
+    """Counting keeps one batch, not the classes: the tracemalloc peak of
+    6:2,2,3,3,3,3 was 8.4 MB and of 5:2^8 76.6 MB when the count was the
+    length of the stored list, and counted it is 0.7 MB and 1.2 MB."""
+    t = RamificationType.parse(text)
+    hurwitz_number_brute(RamificationType.parse("5:2,2,4,4"))  # numpy loaded
+    tracemalloc.start()
+    try:
+        assert hurwitz_number_brute(t) == h
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
 
 
 @functools.cache
