@@ -21,11 +21,10 @@ from .hurwitz import (
     HurwitzFactorization,
     RamificationType,
     _canonical_anchored,
-    _centralizer,
-    enumerate_factorizations,
+    _enumerate,
     hurwitz_formula_pure4,
 )
-from .perm import Perm, compose, cycle_lengths, inverse
+from .perm import Perm, compose, conjugate, cycle_lengths, inverse
 
 
 @dataclass(frozen=True)
@@ -77,14 +76,18 @@ class BraidOrbit:
     length: int
 
 
+def _q3(perms: tuple[Perm, ...]) -> tuple[Perm, ...]:
+    """Q3 on a 4-tuple of permutations: g1 g2 g1^-1 is the new g2, and the new
+    g1 is g1 conjugated by the product g1 g2, which Q3 keeps."""
+    g1, g2, g3, g4 = perms
+    return conjugate(compose(g1, g2), g1), conjugate(g1, g2), g3, g4
+
+
 def braid_q3(f: HurwitzFactorization) -> HurwitzFactorization:
     """Apply Q3; the product g1 g2 and the entries g3, g4 are preserved."""
     if len(f.perms) != 4:
         raise InvalidTypeError("the braid operator acts on 4-point factorizations")
-    g1, g2, g3, g4 = f.perms
-    new_g1 = compose(g1, compose(g2, compose(g1, compose(inverse(g2), inverse(g1)))))
-    new_g2 = compose(g1, compose(g2, inverse(g1)))
-    return HurwitzFactorization(f.degree, (new_g1, new_g2, g3, g4))
+    return HurwitzFactorization(f.degree, _q3(f.perms))
 
 
 def braid_orbits(t: RamificationType) -> list[BraidOrbit]:
@@ -93,19 +96,20 @@ def braid_orbits(t: RamificationType) -> list[BraidOrbit]:
     Orbits are keyed on canonical forms, so the partition is independent of
     the representatives chosen; orbit lengths sum to the Hurwitz number.  Q3
     keeps g4, which every canonical form anchors at the canonical
-    representative of its class, so one centralizer, built once as conjugation
-    gathers, canonicalizes every step.
+    representative of its class, so the centralizer that enumeration built for
+    that class canonicalizes every step.  The walk runs on permutation tuples:
+    Q3 keeps the product and the generated group, so no step is checked again,
+    and each orbit's representative is the first of its canonical forms in the
+    sorted enumeration.
     """
     if len(t.classes) != 4:
         raise InvalidTypeError("braid orbits are defined for 4-point types")
-    reps = enumerate_factorizations(t)
+    reps, last = _enumerate(t)
     total = len(reps)
-    anchor = t.classes[-1].canonical_representative()
-    centralizer = _centralizer(anchor) if reps else []
     seen: set[tuple[Perm, ...]] = set()
     orbits = []
     for f in reps:
-        if f.perms in seen:
+        if f in seen:
             continue
         length = 0
         g = f
@@ -113,13 +117,11 @@ def braid_orbits(t: RamificationType) -> list[BraidOrbit]:
             length += 1
             if length > total:
                 raise AssertionError("braid orbit exceeded the factorization count")
-            seen.add(g.perms)
-            g = HurwitzFactorization(
-                f.degree, _canonical_anchored(braid_q3(g).perms, centralizer)
-            )
-            if g.perms == f.perms:
+            seen.add(g)
+            g = _canonical_anchored(_q3(g), last)
+            if g == f:
                 break
-        orbits.append(BraidOrbit(representative=f, length=length))
+        orbits.append(BraidOrbit(HurwitzFactorization._trusted(t.degree, f), length))
     return orbits
 
 

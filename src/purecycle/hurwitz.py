@@ -36,8 +36,12 @@ z at once in numpy.  The sum must be a multiple of |Z|, and memory stays at one
 batch.
 
 enumerate_factorizations, behind ``hurwitz --list`` and the braid walk, stores
-the classes.  Deduplication sweeps Z-orbits: a tuple not seen before marks its
-whole orbit seen and keeps the orbit's lexicographically least tuple.  Each
+the classes.  By the same argument a class meets the search in
+|Z_x| / |Stab_Z(t)| rows, so a row whose Z_x is trivial, by the test the count
+makes, is the only row of its class: it is put in canonical form once and never
+swept.  Only the other rows, and every row when no class is looped, are
+deduplicated by sweeping Z-orbits: a tuple not seen before marks its whole orbit
+seen and keeps the orbit's lexicographically least tuple.  Each
 centralizer is built once per enumeration as pairs of z and the gather of z^-1
 (perm.gather), and each entry g of a tuple as one gather, so z g z^-1 is two
 C-level gathers, compose(compose(z, g), z^-1), with no Python loop over
@@ -45,12 +49,16 @@ points.  A canonical form conjugates the first entry by all of Z and the rest
 only by the z that give its least conjugate, since the first entry decides the
 order.  Numpy does not pay here: |Z| is about 12 and the braid walk conjugates
 one tuple at a time, and one (|Z|, r, d) gather with a lexicographic minimum
-was slower.  If the order moved, each representative is carried back to the
-type's class order by the Hurwitz moves (a, b) -> (a b a^-1, a), which keep
-the product and the generated group and commute with uniform conjugation, and
-is then put in canonical form over the centralizer of the type's last class,
-computed once per type.  Every returned representative is in that canonical
-form, and the list is sorted, so output is deterministic.
+was slower.  If the order moved, each lone row and each orbit minimum is
+carried back to the type's class order by the Hurwitz moves
+(a, b) -> (a b a^-1, a), which keep the product and the generated group and
+commute with uniform conjugation, and is then put in canonical form over the
+centralizer of the type's last class, computed once per type and handed on to
+the braid walk.  Every returned representative is in that canonical form, and
+the list is sorted, so output is deterministic.  The search has proved the
+product, the classes and transitivity of every row, so the representatives are
+built without the checks of HurwitzFactorization, which its public constructor
+keeps.
 
 Closed formulas are provided for genus-0 pure-cycle types with three or four
 branch points (rigidity and the min e_i(d+1-e_i) count) and for types with a
@@ -185,6 +193,15 @@ class HurwitzFactorization:
             raise InvalidTypeError("left-to-right product is not the identity")
         if not is_transitive(self.perms, self.degree):
             raise InvalidTypeError("generated group is not transitive")
+
+    @classmethod
+    def _trusted(cls, degree: int, perms: tuple[Perm, ...]) -> "HurwitzFactorization":
+        """A factorization that the search or the braid walk has proved: perms
+        is a tuple of tuples, so none of the checks runs again."""
+        f = object.__new__(cls)
+        object.__setattr__(f, "degree", degree)
+        object.__setattr__(f, "perms", perms)
+        return f
 
     def __lt__(self, other: "HurwitzFactorization") -> bool:
         return self.perms < other.perms
@@ -446,8 +463,7 @@ def _search_batches(
     rows = class_array(middle[at])
     looped = [list(all_of_type(cl)) for i, cl in enumerate(middle) if i != at]
     if looped:
-        minima = _orbit_minima(((x,) for x in looped[0]), centralizer)
-        looped[0] = [x for (x,) in sorted(minima)]
+        looped[0] = _conjugacy_minima(looped[0], centralizer)
     # one flat product, so that no choice is built before its batch
     combos = itertools.product(*looped)
     n = len(rows)
@@ -474,15 +490,30 @@ def _search_batches(
             yield batch, slots[keep], prod[hits[keep]], rows[at_rows[keep]], entries[keep]
 
 
+def _raw_tuples(
+    at: int, anchor: Perm, batch: list[tuple[Perm, ...]], slots: np.ndarray,
+    prods: np.ndarray, vs: np.ndarray,
+) -> list[tuple[Perm, ...]]:
+    """One raw tuple (g_1, ..., g_r) per surviving row of a _search_batches
+    batch, with the vectorized class at position at among the middle ones.
+    g_1 is the inverse of w = g_2 ... g_r, and a permutation's argsort is its
+    inverse."""
+    import numpy as np
+    firsts = map(tuple, np.argsort(prods, axis=1).tolist())
+    choices = map(batch.__getitem__, slots.tolist())
+    return [
+        (g1,) + c[:at] + (v,) + c[at:] + (anchor,)
+        for g1, v, c in zip(firsts, map(tuple, vs.tolist()), choices)
+    ]
+
+
 def _search_generic(
     d: int, classes: tuple[CycleType, ...], anchor: Perm, centralizer: Sequence[Conjugator]
 ) -> Iterator[tuple[Perm, ...]]:
     """The raw tuples of _search_batches, one (g_1, ..., g_r) per surviving row."""
     at = _vectorized(classes[1:-1])
     for batch, slots, prods, vs, _ in _search_batches(d, classes, anchor, centralizer):
-        for w, v, k in zip(prods.tolist(), vs.tolist(), slots.tolist()):
-            c = batch[k]
-            yield (inverse(w),) + c[:at] + (tuple(v),) + c[at:] + (anchor,)
+        yield from _raw_tuples(at, anchor, batch, slots, prods, vs)
 
 
 # kept only because perfbench/tracer.py still resolves these two names
@@ -508,6 +539,21 @@ def _orbit_minima(
     return minima
 
 
+def _conjugacy_minima(elements: Iterable[Perm], centralizer: Sequence[Conjugator]) -> list[Perm]:
+    """The least element of each orbit of centralizer, as _centralizer pairs,
+    acting by conjugation on elements, sorted: _orbit_minima on single
+    permutations, with x's gather built once per orbit and one z x z^-1 per z."""
+    seen: set[Perm] = set()
+    minima = []
+    for x in elements:
+        if x not in seen:
+            x_gather = gather(x)
+            orbit = {z_inv(x_gather(z)) for z, z_inv in centralizer}
+            seen |= orbit
+            minima.append(min(orbit))
+    return sorted(minima)
+
+
 def _search_plan(t: RamificationType) -> tuple[int, ...] | None:
     """The search order of t's classes, or None when no product of them is
     even, let alone the identity.  A type over the degree bound or over
@@ -528,26 +574,55 @@ def _search_plan(t: RamificationType) -> tuple[int, ...] | None:
     return order
 
 
-def enumerate_factorizations(t: RamificationType) -> list[HurwitzFactorization]:
-    """All Hurwitz factorizations of type t, one canonical representative per
-    uniform-conjugacy class, sorted.  A type over the degree bound or over
-    MAX_SEARCH_ROWS is refused before the search.
-    """
+def _enumerate(t: RamificationType) -> tuple[list[tuple[Perm, ...]], list[Conjugator]]:
+    """The sorted canonical representatives of enumerate_factorizations as
+    tuples, and the _centralizer pairs of the canonical representative of t's
+    last class, over which they are canonical.
+
+    A row whose first looped entry x has a trivial Z_x is the only row of its
+    class, so it is put in canonical form at once; the other rows, and every
+    row when no class is looped, go through the orbit sweep."""
     order = _search_plan(t)
     if order is None:
-        return []
+        return [], []
     d = t.degree
     classes = tuple(t.classes[i] for i in order)
     anchor = classes[-1].canonical_representative()
     centralizer = _centralizer(anchor)
-    seen = _orbit_minima(_search_generic(d, classes, anchor, centralizer), centralizer)
-    if order != tuple(sorted(order)):
-        last = _centralizer(t.classes[-1].canonical_representative())
-        seen = {
-            _canonical_anchored(_anchor_last(_to_type_order(tup, order)), last)
-            for tup in seen
-        }
-    return [HurwitzFactorization(d, tup) for tup in sorted(seen)]
+    moved = order != tuple(sorted(order))
+    last = _centralizer(t.classes[-1].canonical_representative()) if moved else centralizer
+
+    def canonical(tup: tuple[Perm, ...]) -> tuple[Perm, ...]:
+        """tup in canonical form, in type order."""
+        if moved:
+            tup = _anchor_last(_to_type_order(tup, order))
+        return _canonical_anchored(tup, last)
+
+    import numpy as np
+    zt = np.array([z for z, _ in centralizer], dtype=np.int16).T
+    at = _vectorized(classes[1:-1])
+    found = set()
+    swept = []
+    for batch, slots, prods, vs, looped in _search_batches(d, classes, anchor, centralizer):
+        lone = (_x_fixers(looped, zt) == 1).tolist()
+        for tup, alone in zip(_raw_tuples(at, anchor, batch, slots, prods, vs), lone):
+            if alone:
+                found.add(canonical(tup))
+            else:
+                swept.append(tup)
+    minima = _orbit_minima(swept, centralizer)
+    found |= set(map(canonical, minima)) if moved else minima
+    return sorted(found), last
+
+
+def enumerate_factorizations(t: RamificationType) -> list[HurwitzFactorization]:
+    """All Hurwitz factorizations of type t, one canonical representative per
+    uniform-conjugacy class, sorted.  A type over the degree bound or over
+    MAX_SEARCH_ROWS is refused before the search.  The search has proved each
+    representative, so none is checked again.
+    """
+    reps, _ = _enumerate(t)
+    return [HurwitzFactorization._trusted(t.degree, tup) for tup in reps]
 
 
 def _fixers(perms: np.ndarray, zt: np.ndarray) -> np.ndarray:
@@ -555,6 +630,16 @@ def _fixers(perms: np.ndarray, zt: np.ndarray) -> np.ndarray:
     permutation of perms, shape (..., d), given Z as the columns of zt:
     zt[g] holds z g and g[..., zt] holds g z."""
     return (zt[perms] == perms[..., zt]).all(axis=-2)
+
+
+def _x_fixers(looped: np.ndarray, zt: np.ndarray) -> np.ndarray:
+    """|Z_x| for each row of a _search_batches batch, given its looped entries
+    and Z as the columns of zt: the number of z that fix x, the first looped
+    entry, or |Z| when no class is looped."""
+    import numpy as np
+    if looped.shape[1]:
+        return _fixers(looped[:, 0], zt).sum(axis=1)
+    return np.full(len(looped), zt.shape[1])
 
 
 def hurwitz_number_brute(t: RamificationType) -> int:
@@ -573,11 +658,7 @@ def hurwitz_number_brute(t: RamificationType) -> int:
     zt = np.array([z for z, _ in centralizer], dtype=np.int16).T
     total = 0
     for _, _, _, v, looped in _search_batches(d, classes, anchor, centralizer):
-        # |Z_x| for the first looped entry x, or |Z| when no class is looped
-        if looped.shape[1]:
-            fixing = _fixers(looped[:, 0], zt).sum(axis=1)
-        else:
-            fixing = np.full(len(v), len(centralizer))
+        fixing = _x_fixers(looped, zt)
         stab = np.ones(len(v), dtype=np.int64)
         tested = np.nonzero(fixing > 1)[0]
         if tested.size:

@@ -1,5 +1,9 @@
+import hashlib
+import itertools
+
 import pytest
 
+import purecycle.hurwitz as hurwitz
 from purecycle.braid import (
     AdmissibleCoverType,
     NodeClass,
@@ -142,3 +146,44 @@ def test_no_two_cycle_row_when_pair_does_not_fit():
     rows = admissible_enumerate_char0(5, 3, 3, 3, 3)
     assert all(r.node.kind == "single" for r in rows)
     assert sum(r.subtotal for r in rows) == 9
+
+
+def _pinned_four_point_types():
+    """Every genus-0 pure 4-point type of degree 3 to 9 in sorted order and
+    with its last class moved first, then three of positive genus whose rows
+    include many with a nontrivial Z_x: some z of the anchor's centralizer
+    fixes their first looped entry x."""
+    for d in range(3, 10):
+        for es in itertools.combinations_with_replacement(range(2, d + 1), 4):
+            if sum(es) == 2 * d + 2:
+                for order in sorted({es, es[-1:] + es[:-1]}):
+                    yield RamificationType.pure(d, order)
+    for text in ("4:2,4,2,4", "6:2,6,6,6", "6:4,4,6,6"):
+        yield RamificationType.parse(text)
+
+
+def test_braid_orbits_output_is_pinned(monkeypatch):
+    """Any change of an orbit's representative, its length or the orbit order
+    changes the digest, which was taken while every row of the search still
+    went through the orbit sweep.  Between them the pinned types give rows of
+    both kinds: a trivial Z_x, whose row is its class's only one, and not."""
+    kinds = set()
+    x_fixers = hurwitz._x_fixers
+
+    def recording(looped, zt):
+        fixing = x_fixers(looped, zt)
+        kinds.update((fixing > 1).tolist())
+        return fixing
+
+    monkeypatch.setattr(hurwitz, "_x_fixers", recording)
+    digest = hashlib.sha256()
+    types = list(_pinned_four_point_types())
+    for t in types:
+        digest.update(f"{t}\n".encode())
+        for orbit in braid_orbits(t):
+            digest.update(f"{orbit.representative.perms} {orbit.length}\n".encode())
+    assert len(types) == 127
+    assert digest.hexdigest() == (
+        "4fe8f509c3e4ba9d732a94891b1a6b7d75968c44b6bb33309e68cba82dca9f58"
+    )
+    assert kinds == {False, True}

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from conftest import random_perm, reference_hurwitz_count
 import purecycle.hurwitz as hurwitz
+from purecycle.braid import braid_orbits, braid_q3
 from purecycle.errors import BoundExceededError, InvalidTypeError
 from purecycle.group import GroupReport, cycle_type_keys, group_analyze, is_transitive
 from purecycle.hurwitz import (
@@ -603,6 +604,31 @@ def test_enumeration_output_is_pinned():
     assert digest.hexdigest() == (
         "75e4a701903268ad8ea29cea6265ce17489965f0bb2ad727217119b266d2b68f"
     )
+
+
+def test_trusted_results_still_validate():
+    """enumerate_factorizations and braid_orbits skip the checks of
+    HurwitzFactorization, since the search has proved each representative and
+    Q3 keeps the product and the generated group.  Rebuilt through the public
+    constructor, every representative and every orbit representative passes
+    them, with its entries in the type's classes, and so does each braid_q3
+    step, on every genus-0 type of degree at most 8 in type order and with the
+    last class moved first."""
+    for d in range(3, 9):
+        for shape in _genus0_shapes(d):
+            for order in {tuple(shape), tuple(shape[-1:] + shape[:-1])}:
+                t = RamificationType.parse(f"{d}:" + ",".join(order))
+                reps = enumerate_factorizations(t)
+                rebuilt = [HurwitzFactorization(d, f.perms) for f in reps]
+                assert repr(rebuilt) == repr(reps), str(t)
+                lengths = [cl.lengths for cl in t.classes]
+                assert all([cycle_lengths(g) for g in f.perms] == lengths for f in reps), str(t)
+                if len(t.classes) == 4:
+                    orbits = braid_orbits(t)
+                    assert sum(o.length for o in orbits) == len(reps), str(t)
+                    for f in [*reps, *(o.representative for o in orbits)]:
+                        assert HurwitzFactorization(d, f.perms) == f
+                        assert [cycle_lengths(g) for g in braid_q3(f).perms] == lengths
 
 
 # The two-cycle types (d; e-e, e3, e4) with d, e3 and e4 even: each has one
