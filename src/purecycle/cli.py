@@ -11,10 +11,9 @@ bounds are fixed constants, each checked before the work it limits:
 enumeration to degree 9, or 11 for pure-cycle types, and to about 10^7 search
 rows (``hurwitz.MAX_SEARCH_ROWS``), which refuses many-point genus-0 types
 such as 6:2^10, 7:2^12, 8:3^7, 9:3^8 and 11:3^10.  The rows bound time, not
-memory: ``hurwitz --mode brute|both`` counts in constant memory, and only
-``hurwitz --list`` and ``braid`` store the classes (h |Z| tuples, Z the
-centralizer of one class); characteristics up to
-10^12 (``arith.MAX_PRIME``), and up to 250 for ``defdatum``
+memory: ``hurwitz --mode brute|both`` counts in constant memory, and
+``hurwitz --list`` and ``braid`` hold one tuple per class; characteristics up
+to 10^12 (``arith.MAX_PRIME``), and up to 250 for ``defdatum``
 (``fppoly.KUMMER_MAX_PRIME``); up to 370 generators of degree up to 40 for
 ``group`` (``group.MAX_GROUP_GENERATORS``, ``group.MAX_GROUP_DEGREE``).
 ``group --census`` enumerates groups of order at most ``--census-cap``
@@ -358,6 +357,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # argparse takes an argument that begins with a single '-' for an option;
+    # one that holds a ':', such as the type -1:8,6, is none and goes behind '--'
+    dashed = [a for a in argv if a[:1] == "-" and a[1:2] != "-" and ":" in a]
+    if dashed and "--" not in argv:
+        argv = [a for a in argv if a not in dashed] + ["--", *dashed]
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args, sys.stdout)

@@ -36,29 +36,27 @@ z at once in numpy.  The sum must be a multiple of |Z|, and memory stays at one
 batch.
 
 enumerate_factorizations, behind ``hurwitz --list`` and the braid walk, stores
-the classes.  By the same argument a class meets the search in
-|Z_x| / |Stab_Z(t)| rows, so a row whose Z_x is trivial, by the test the count
-makes, is the only row of its class: it is put in canonical form once and never
-swept.  Only the other rows, and every row when no class is looped, are
-deduplicated by sweeping Z-orbits: a tuple not seen before marks its whole orbit
-seen and keeps the orbit's lexicographically least tuple.  Each
-centralizer is built once per enumeration as pairs of z and the gather of z^-1
-(perm.gather), and each entry g of a tuple as one gather, so z g z^-1 is two
-C-level gathers, compose(compose(z, g), z^-1), with no Python loop over
-points.  A canonical form conjugates the first entry by all of Z and the rest
-only by the z that give its least conjugate, since the first entry decides the
-order.  Numpy does not pay here: |Z| is about 12 and the braid walk conjugates
-one tuple at a time, and one (|Z|, r, d) gather with a lexicographic minimum
-was slower.  If the order moved, each lone row and each orbit minimum is
-carried back to the type's class order by the Hurwitz moves
-(a, b) -> (a b a^-1, a), which keep the product and the generated group and
-commute with uniform conjugation, and is then put in canonical form over the
-centralizer of the type's last class, computed once per type and handed on to
-the braid walk.  Every returned representative is in that canonical form, and
-the list is sorted, so output is deterministic.  The search has proved the
-product, the classes and transitivity of every row, so the representatives are
-built without the checks of HurwitzFactorization, which its public constructor
-keeps.
+one tuple per class.  By the same argument a class meets the search in one
+Z_x-orbit of rows: two of its rows differ by some z in Z, which fixes x since x
+and z x z^-1 are both the least of their Z-orbit.  So each class keeps one row,
+the one that no z in Z_x conjugates to a lexicographically smaller row (tested
+per batch in numpy; a trivial Z_x passes untested), and puts it in canonical
+form once.  Each centralizer is built once per enumeration as pairs of z and
+the gather of z^-1 (perm.gather), and each entry g of a tuple as one gather, so
+z g z^-1 is two C-level gathers, compose(compose(z, g), z^-1), with no Python
+loop over points.  A canonical form conjugates the first entry by all of Z and
+the rest only by the z that give its least conjugate, since the first entry
+decides the order.  Numpy does not pay here: |Z| is about 12 and the braid walk
+conjugates one tuple at a time, and one (|Z|, r, d) gather with a lexicographic
+minimum was slower.  If the order moved, each kept row is carried back to the
+type's class order by the Hurwitz moves (a, b) -> (a b a^-1, a), which keep the
+product and the generated group and commute with uniform conjugation, and is
+then put in canonical form over the centralizer of the type's last class,
+computed once per type and handed on to the braid walk.  Every returned
+representative is in that canonical form, and the list is sorted, so output is
+deterministic.  The search has proved the product, the classes and transitivity
+of every row, so the representatives are built without the checks of
+HurwitzFactorization, which its public constructor keeps.
 
 Closed formulas are provided for genus-0 pure-cycle types with three or four
 branch points (rigidity and the min e_i(d+1-e_i) count) and for types with a
@@ -106,8 +104,8 @@ PURE_CYCLE_MAX_DEGREE = 11
 # 9:3^8, 7:2^12, 11:3^10).  Types timed between 5e6 and 1e7 took 1.1-14 s, and
 # 10:4,4,5,5,5 at 1.6e7 took 12 s (2 cores, Python 3.11, numpy 2.4).  The rows
 # bound time, not memory.  hurwitz_number_brute counts in one batch: 7:2^6,4,4
-# at 3.6e6 rows takes 4.3 s at 32 MB.  Only enumerate_factorizations stores the
-# classes, h |Z| tuples, over 1.3 GB for that type.
+# at 3.6e6 rows takes 4.3 s at 32 MB.  enumerate_factorizations stores one tuple
+# per class: it lists that type's 83,360 classes in about 16 s at 134 MB.
 MAX_SEARCH_ROWS = 10**7
 
 
@@ -520,29 +518,10 @@ def _search_generic(
 _search_r3 = _search_r4 = _search_generic
 
 
-def _orbit_minima(
-    raw: Iterable[tuple[Perm, ...]], centralizer: Sequence[Conjugator]
-) -> set[tuple[Perm, ...]]:
-    """{_canonical_anchored(t, centralizer) for t in raw}: the least tuple of
-    each orbit of the group centralizer that raw meets.  So raw need not be
-    closed under centralizer; any raw set whose closure is the full raw set
-    gives the full set's minima.  A tuple not seen before marks its whole orbit
-    seen and keeps the orbit's minimum, so the conjugations are one orbit per
-    class, not per raw tuple."""
-    seen: set[tuple[Perm, ...]] = set()
-    minima = set()
-    for tup in raw:
-        if tup not in seen:
-            orbit = set(_conjugates(tup, centralizer))
-            seen |= orbit
-            minima.add(min(orbit))
-    return minima
-
-
 def _conjugacy_minima(elements: Iterable[Perm], centralizer: Sequence[Conjugator]) -> list[Perm]:
     """The least element of each orbit of centralizer, as _centralizer pairs,
-    acting by conjugation on elements, sorted: _orbit_minima on single
-    permutations, with x's gather built once per orbit and one z x z^-1 per z."""
+    acting by conjugation on elements, sorted.  An element not seen marks its
+    orbit seen, built from x's gather and one z x z^-1 per z."""
     seen: set[Perm] = set()
     minima = []
     for x in elements:
@@ -579,9 +558,8 @@ def _enumerate(t: RamificationType) -> tuple[list[tuple[Perm, ...]], list[Conjug
     tuples, and the _centralizer pairs of the canonical representative of t's
     last class, over which they are canonical.
 
-    A row whose first looped entry x has a trivial Z_x is the only row of its
-    class, so it is put in canonical form at once; the other rows, and every
-    row when no class is looped, go through the orbit sweep."""
+    A class meets the search in one Z_x-orbit, so it keeps one row, the least
+    (_least_in_orbit); a row whose Z_x is trivial is kept untested."""
     order = _search_plan(t)
     if order is None:
         return [], []
@@ -594,25 +572,19 @@ def _enumerate(t: RamificationType) -> tuple[list[tuple[Perm, ...]], list[Conjug
 
     def canonical(tup: tuple[Perm, ...]) -> tuple[Perm, ...]:
         """tup in canonical form, in type order."""
-        if moved:
-            tup = _anchor_last(_to_type_order(tup, order))
-        return _canonical_anchored(tup, last)
+        return _canonical_anchored(
+            _anchor_last(_to_type_order(tup, order)) if moved else tup, last)
 
     import numpy as np
     zt = np.array([z for z, _ in centralizer], dtype=np.int16).T
     at = _vectorized(classes[1:-1])
-    found = set()
-    swept = []
+    reps = []
     for batch, slots, prods, vs, looped in _search_batches(d, classes, anchor, centralizer):
-        lone = (_x_fixers(looped, zt) == 1).tolist()
-        for tup, alone in zip(_raw_tuples(at, anchor, batch, slots, prods, vs), lone):
-            if alone:
-                found.add(canonical(tup))
-            else:
-                swept.append(tup)
-    minima = _orbit_minima(swept, centralizer)
-    found |= set(map(canonical, minima)) if moved else minima
-    return sorted(found), last
+        tested = _x_fixers(looped, zt) > 1
+        keep = ~tested
+        keep[tested] = _least_in_orbit(looped[tested], vs[tested], zt)
+        reps += map(canonical, _raw_tuples(at, anchor, batch, slots[keep], prods[keep], vs[keep]))
+    return sorted(reps), last
 
 
 def enumerate_factorizations(t: RamificationType) -> list[HurwitzFactorization]:
@@ -640,6 +612,29 @@ def _x_fixers(looped: np.ndarray, zt: np.ndarray) -> np.ndarray:
     if looped.shape[1]:
         return _fixers(looped[:, 0], zt).sum(axis=1)
     return np.full(len(looped), zt.shape[1])
+
+
+def _least_in_orbit(looped: np.ndarray, v: np.ndarray, zt: np.ndarray) -> np.ndarray:
+    """Mask of the _search_batches rows, given by their looped entries and v,
+    that no z in Z, the columns of zt, conjugates to a lexicographically smaller
+    (x, ..., v), x the first looped entry: the Z_x-least rows, since a z outside
+    Z_x moves x up its Z-orbit.  Chunks of _SEARCH_ROWS // |Z| rows bound memory."""
+    import numpy as np
+    gens = np.concatenate([looped, v[:, None]], axis=1)
+    size = zt.shape[1]
+    z_inv = np.argsort(zt, axis=0).astype(np.int16).ravel()  # z_c^-1(p) at p * size + c
+    cols = np.arange(size, dtype=np.int32)[:, None]
+    keep = np.empty(len(gens), dtype=bool)
+    step = max(1, _SEARCH_ROWS // size)
+    for lo in range(0, len(gens), step):
+        g = gens[lo:lo + step]
+        # z_c^-1 g z_c for each row g and column c, as (rows, |Z|, entries)
+        conj = z_inv[g[:, :, zt.T].astype(np.int32) * size + cols].transpose(0, 2, 1, 3)
+        conj = conj.reshape(len(g), size, -1)
+        own = g.reshape(len(g), 1, -1)
+        first = (conj != own).argmax(axis=2)[..., None]  # 0 when equal
+        keep[lo:lo + step] = ~np.take_along_axis(conj < own, first, axis=2).any(axis=(1, 2))
+    return keep
 
 
 def hurwitz_number_brute(t: RamificationType) -> int:

@@ -57,8 +57,14 @@ def test_hurwitz_formula_three_points():
          "admissible taxonomy needs a pure-cycle 4-point type"),
         (("charp", "5:2,4,5"),
          "type 5:2,4,5 is outside the characteristic-p results"),
+        # a type that begins with '-' is still the type, not an unknown option
+        (("hurwitz", "-1:8,6", "--mode", "brute"), "degree must be positive, got -1"),
+        (("braid", "-1:8,6"), "degree must be positive, got -1"),
+        (("admissible", "-1:8,6"), "degree must be positive, got -1"),
+        (("charp", "--format", "json", "-1:8,6"), "degree must be positive, got -1"),
     ],
-    ids=["formula-many-points", "brute-genus-2", "admissible-triple", "charp-triple"],
+    ids=["formula-many-points", "brute-genus-2", "admissible-triple", "charp-triple",
+         "hurwitz-dashed", "braid-dashed", "admissible-dashed", "charp-dashed"],
 )
 def test_validation_errors_exit2(argv, err):
     assert run_cli(*argv) == (2, "", f"error: {err}\n")
@@ -604,14 +610,15 @@ OVER_BUDGET_CLASSES = {(str(d), tuple(sorted(map(str, classes)))) for d, classes
 def _over_budget(argv):
     if argv[0] not in ("hurwitz", "braid"):
         return False
-    degree, _, classes = argv[1].partition(":")
+    # the type is the last argument in the strategy that draws these types
+    degree, _, classes = argv[-1].partition(":")
     return (degree, tuple(sorted(classes.split(",")))) in OVER_BUDGET_CLASSES
 
 
 ARGVS = st.one_of(
     st.builds(lambda cmd, t: (cmd + [t], None),
               st.sampled_from([["hurwitz", "--mode", "brute"], ["hurwitz", "--mode", "both"],
-                               ["braid"]]),
+                               ["hurwitz", "--list"], ["braid"]]),
               st.sampled_from(OVER_BUDGET).flatmap(
                   lambda dc: st.permutations(dc[1]).map(
                       lambda order: f"{dc[0]}:" + ",".join(map(str, order))))),

@@ -33,7 +33,9 @@ from purecycle.hurwitz import (
     _canonical_anchored,
     _centralizer,
     _conjugates,
-    _orbit_minima,
+    _least_in_orbit,
+    _raw_tuples,
+    _search_batches,
     _search_generic,
     _search_order,
     _search_rows,
@@ -42,7 +44,6 @@ from purecycle.hurwitz import (
 )
 from purecycle.perm import (
     CycleType,
-    all_of_type,
     centralizer_elements,
     class_array,
     compose,
@@ -530,28 +531,16 @@ def test_orbit_sweep_keeps_one_minimum_per_centralizer_orbit(text):
     middle = classes[1:-1]
     at = max(range(len(middle)), key=lambda i: middle[i].class_size())
     looped = [i for i in range(len(middle)) if i != at]
-    orbits = 0
-    if looped:
-        orbits = len({
-            _canonical_anchored((x,), conjugators) for x in all_of_type(middle[looped[0]])
-        })
-
-    calls = 0
-
-    def counting(z_inv):
-        def counted_gather(s):
-            nonlocal calls
-            calls += 1
-            return z_inv(s)
-        return counted_gather
-
-    # each call of a z^-1 gather finishes the conjugation of one entry by z
-    counted = [(z, counting(z_inv)) for z, z_inv in conjugators]
-    reduced = list(_search_generic(d, classes, anchor, counted))
-    assert _orbit_minima(reduced, counted) == expected
-    # one sweep of the looped class, then one conjugation of each of the r
-    # entries, by each z, per class
-    assert calls <= len(centralizer) * (orbits + len(expected) * len(classes))
+    reduced = list(_search_generic(d, classes, anchor, conjugators))
+    # the Z_x-least test of _enumerate, here on every row, also those with a
+    # trivial Z_x, which it must keep: one row per class, none lost
+    zt = np.array(centralizer, dtype=np.int16).T
+    kept = []
+    for batch, slots, prods, vs, entries in _search_batches(d, classes, anchor, conjugators):
+        keep = _least_in_orbit(entries, vs, zt)
+        kept += _raw_tuples(at, anchor, batch, slots[keep], prods[keep], vs[keep])
+    assert len(kept) == len(expected)
+    assert {_canonical_anchored(tup, conjugators) for tup in kept} == expected
 
     closure = {tuple(conjugate(z, g) for g in tup) for z in centralizer for tup in reduced}
     assert closure == set(full)
@@ -671,6 +660,23 @@ def test_count_stores_no_classes(text, h):
     finally:
         tracemalloc.stop()
     assert peak < 2 * 2**20
+
+
+def test_listing_stores_one_tuple_per_class():
+    """Listing keeps the classes and one batch: the tracemalloc peak of 5:2^8
+    stays within twice what the returned list still holds.  When an orbit
+    sweep deduplicated the rows, its set of h |Z| seen tuples peaked at
+    83.6 MB against 6.7 MB held; one row kept per class peaks at 7.3 MB."""
+    t = RamificationType.parse("5:2,2,2,2,2,2,2,2")
+    hurwitz_number_brute(RamificationType.parse("5:2,2,4,4"))  # numpy loaded
+    tracemalloc.start()
+    try:
+        reps = enumerate_factorizations(t)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(reps) == 8400
+    assert peak < 2 * held
 
 
 @functools.cache
