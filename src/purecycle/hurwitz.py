@@ -6,24 +6,27 @@ r ordered branch points.  Its Hurwitz number is the number of tuples
 transitive generated group, counted up to uniform conjugacy by S_d.
 
 One enumerator serves every r >= 3.  It searches the classes in a cheaper
-order: the largest class last, anchored at its canonical representative, the
-next largest first, solved from the product identity, and the rest between in
-type order (on a tie in size the anchor is the latest such class and the solved
-one the earliest).  It takes each class as one array, one element per row
-(perm.class_array), vectorizes over the rows of the first-largest middle class
-and loops over the other middle classes, the first of them only over the least
-element of each orbit of the anchor's centralizer Z acting by conjugation.  That
-loses no class: conjugation by Z keeps the anchor, the product, the classes and
-transitivity, so the raw tuples are closed under Z, and the conjugate of a raw
-tuple that moves its first looped entry to that entry's orbit representative is
-a raw tuple the loop reaches.  Small classes leave numpy too little work per
-call, so each batch stacks the rows for as many choices of the looped entries
-as fit in _SEARCH_ROWS.  Each numpy batch is filtered three times.  The
-first two compare the solved entry with its class: first by the number of
-fixed points alone, then by the integer key of the fixed-point counts of its
-powers that the group census counts by (group.cycle_type_keys), which fixes
-the cycle type.  The third tests transitivity by min-label propagation.  Only
-the rows that pass all three are kept.
+order (solved, vectorized, looped..., anchor): the largest class last, anchored
+at its canonical representative, the next largest first, solved from the
+product identity, the largest of the rest second, vectorized over its class as
+one array of one element per row (perm.class_array), and the others looped in
+type order (on a tie in size the anchor is the latest such class, the solved
+and the vectorized one the earliest).  The first looped class runs only over
+the least element of each orbit of the anchor's centralizer Z acting by
+conjugation.  That loses no class: conjugation by Z keeps the anchor, the
+product, the classes and transitivity, so the raw tuples are closed under Z,
+and the conjugate of a raw tuple that moves its first looped entry to that
+entry's orbit representative is a raw tuple the loop reaches.  Small classes
+leave numpy too little work per call, so each batch stacks the rows for as
+many choices of the looped entries as fit in _SEARCH_ROWS: g_2 ... g_r is V R,
+V the vectorized rows and R the product of a choice and the anchor, one gather
+per choice.  Each numpy batch is filtered three times.  The first two compare
+the solved entry with its class: first by the number of fixed points alone,
+then by the integer key of the fixed-point counts of its powers that the group
+census counts by (group.cycle_type_keys), which fixes the cycle type.  The
+third tests transitivity by min-label propagation.  Only the rows that pass
+all three are kept, each as g_2 ... g_r and one array of its entries, the
+looped ones and then v, so that the first looped entry x comes first.
 
 hurwitz_number_brute counts the classes from these rows and stores none.  By
 Burnside's lemma over Z, h |Z| is the sum of |Stab_Z(t)| over the raw tuples
@@ -33,14 +36,14 @@ of the orbit, so each row found counts [Z : Z_x] times, Z_x the z that fix x
 (with no looped class the search meets every raw tuple and Z_x is Z).
 Stab_Z(t) lies in Z_x, so only the rows with a nontrivial Z_x are tested, all
 z at once in numpy.  The sum must be a multiple of |Z|, and memory stays at one
-batch.
+batch: the tests of Z run in chunks of _SEARCH_ROWS // |Z| rows.
 
 enumerate_factorizations, behind ``hurwitz --list`` and the braid walk, stores
 one tuple per class.  By the same argument a class meets the search in one
 Z_x-orbit of rows: two of its rows differ by some z in Z, which fixes x since x
 and z x z^-1 are both the least of their Z-orbit.  So each class keeps one row,
 the one that no z in Z_x conjugates to a lexicographically smaller row (tested
-per batch in numpy; a trivial Z_x passes untested), and puts it in canonical
+per chunk in numpy; a trivial Z_x passes untested), and puts it in canonical
 form once.  Each centralizer is built once per enumeration as pairs of z and
 the gather of z^-1 (perm.gather), and each entry g of a tuple as one gather, so
 z g z^-1 is two C-level gathers, compose(compose(z, g), z^-1), with no Python
@@ -52,11 +55,12 @@ minimum was slower.  If the order moved, each kept row is carried back to the
 type's class order by the Hurwitz moves (a, b) -> (a b a^-1, a), which keep the
 product and the generated group and commute with uniform conjugation, and is
 then put in canonical form over the centralizer of the type's last class,
-computed once per type and handed on to the braid walk.  Every returned
-representative is in that canonical form, and the list is sorted, so output is
-deterministic.  The search has proved the product, the classes and transitivity
-of every row, so the representatives are built without the checks of
-HurwitzFactorization, which its public constructor keeps.
+Z itself when the anchor is of that class and otherwise built once per type,
+and handed on to the braid walk.  Every returned representative is in that
+canonical form, and the list is sorted, so output is deterministic.  The search
+has proved the product, the classes and transitivity of every row, so the
+representatives are built without the checks of HurwitzFactorization, which its
+public constructor keeps.
 
 Closed formulas are provided for genus-0 pure-cycle types with three or four
 branch points (rigidity and the min e_i(d+1-e_i) count) and for types with a
@@ -354,14 +358,15 @@ def canonical_form(f: HurwitzFactorization) -> HurwitzFactorization:
 
 
 def _search_order(classes: tuple[CycleType, ...]) -> tuple[int, ...]:
-    """Type positions in search order: the largest class last (the latest on
-    a tie), the next largest first (the earliest on a tie), the rest between
-    in type order.  The search then loops over the smallest classes."""
+    """Type positions in search order (solved, vectorized, looped..., anchor):
+    the largest class last (the latest on a tie), then by size the solved and
+    the vectorized class (each the earliest on a tie), and the rest looped in
+    type order.  The search then loops over the smallest classes."""
     sizes = [cl.class_size() for cl in classes]
     anchor = max(reversed(range(len(sizes))), key=sizes.__getitem__)
     rest = [i for i in range(len(sizes)) if i != anchor]
-    solved = max(rest, key=sizes.__getitem__)
-    return (solved, *(i for i in rest if i != solved), anchor)
+    solved, vectorized = sorted(rest, key=lambda i: -sizes[i])[:2]
+    return (solved, vectorized, *(i for i in rest if i not in (solved, vectorized)), anchor)
 
 
 def _to_type_order(perms: tuple[Perm, ...], order: Sequence[int]) -> tuple[Perm, ...]:
@@ -377,9 +382,9 @@ def _to_type_order(perms: tuple[Perm, ...], order: Sequence[int]) -> tuple[Perm,
     return tuple(perms)
 
 
-def _transitive_mask(shared: Sequence[Perm | np.ndarray], rows: np.ndarray) -> np.ndarray:
-    """Mask of the rows v for which <shared, v> is transitive.  Each shared
-    generator is one permutation for all rows or an array with one per row.
+def _transitive_mask(entries: np.ndarray, anchor: Perm) -> np.ndarray:
+    """Mask of the rows of entries, shape (rows, k, d), whose k permutations
+    generate with anchor a transitive group.
 
     Min-label propagation: each point carries the least point known to lie in
     its orbit, lowered along every generator and through its label's own label
@@ -396,11 +401,11 @@ def _transitive_mask(shared: Sequence[Perm | np.ndarray], rows: np.ndarray) -> n
     with Python 3.11 and numpy 2.4.
     """
     import numpy as np
-    n, d = rows.shape
+    n, _, d = entries.shape
     # each generator as one permutation of n*d positions, row i's point x at
     # position i*d + x, so that following labels needs only 1-D indexing
     starts = np.arange(0, n * d, d)[:, None]
-    gens = [(g + starts).ravel() for g in (rows, *map(np.asarray, shared))]
+    gens = [(g + starts).ravel() for g in (*entries.transpose(1, 0, 2), np.asarray(anchor))]
     labels = np.arange(n * d)
     while True:
         new = labels.copy()
@@ -428,90 +433,70 @@ def _search_rows(classes: tuple[CycleType, ...]) -> int:
 _SEARCH_ROWS = 2**12
 
 
-def _vectorized(middle: tuple[CycleType, ...]) -> int:
-    """Position among the middle classes of the one the search vectorizes:
-    the first of the largest."""
-    return max(range(len(middle)), key=lambda i: middle[i].class_size())
-
-
 def _search_batches(
     d: int, classes: tuple[CycleType, ...], anchor: Perm, centralizer: Sequence[Conjugator]
-) -> Iterator[tuple[list[tuple[Perm, ...]], np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
-    """The raw tuples (g_1, ..., g_r) with g_r = anchor, for any r >= 3, as
-    numpy batches: g_2 ... g_r is L V R, with V the rows of the vectorized
-    class, L the product of the looped entries left of it and R of those right
-    of it, anchor included.
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The raw tuples (g_1, ..., g_r) with g_r = anchor, for any r >= 3, of
+    classes in search order (solved, vectorized, looped..., anchor), as numpy
+    batches: g_2 ... g_r is V R, with V the rows of the vectorized class and R
+    the product of the looped entries and the anchor.
 
     The first looped class runs only over the least element of each orbit of
     centralizer, the anchor's centralizer as _centralizer pairs, so the tuples
     found are a subset of the raw set whose closure under conjugation by
     centralizer is all of it.  Each batch takes V with as many choices of the
     looped entries as keep it within _SEARCH_ROWS rows, and at least one.
-    For each batch with a surviving row it yields (batch, slots, w, v, looped):
-    the choices of looped entries, and per surviving row the slot of its
-    choice in batch, w = g_2 ... g_r, the entry v of V and the looped entries
-    as one (rows, r - 3, d) array."""
+    For each batch with a surviving row it yields (w, entries), per surviving
+    row w = g_2 ... g_r and entries = (g_3, ..., g_{r-1}, g_2), the looped
+    entries then v, as one (rows, r - 2, d) array: x, the first looped entry,
+    is entries[:, 0]."""
     import numpy as np
     key = cycle_type_keys(np.array([classes[0].canonical_representative()], dtype=np.int16))
     fixed = d - classes[0].moved
     idx = np.arange(d, dtype=np.int16)
     ones = np.ones(d, dtype=np.uint8)
-    middle = classes[1:-1]
-    at = _vectorized(middle)
-    rows = class_array(middle[at])
-    looped = [list(all_of_type(cl)) for i, cl in enumerate(middle) if i != at]
+    rows = class_array(classes[1])
+    looped = [list(all_of_type(cl)) for cl in classes[2:-1]]
     if looped:
         looped[0] = _conjugacy_minima(looped[0], centralizer)
     # one flat product, so that no choice is built before its batch
     combos = itertools.product(*looped)
     n = len(rows)
     while batch := list(itertools.islice(combos, max(1, _SEARCH_ROWS // n))):
-        # slot k is the k-th choice of looped entries in the batch, and row
-        # i * size + k of prod is L_k V_i R_k = g_2 ... g_r
+        # row i * size + k of prod is V_i R_k = g_2 ... g_r, R_k the product
+        # of the k-th choice of looped entries in the batch and the anchor
         size = len(batch)
-        prod = rows[:, [compose_all(c[at:] + (anchor,), d) for c in batch]]
-        if at:
-            prod = np.array([compose_all(c[:at], d) for c in batch], dtype=np.int16)[
-                np.arange(size)[:, None], prod
-            ]
-        prod = prod.reshape(-1, d)
+        prod = rows[:, [compose_all(c + (anchor,), d) for c in batch]].reshape(-1, d)
         hits = np.nonzero((prod == idx).view(np.uint8) @ ones == fixed)[0]
         if hits.size:
             hits = hits[cycle_type_keys(prod[hits]) == key]
         if not hits.size:
             continue
         at_rows, slots = np.divmod(hits, size)
-        entries = np.array(batch, dtype=np.int16).reshape(size, -1, d)[slots]
+        chosen = np.array(batch, dtype=np.int16).reshape(size, -1, d)[slots]
+        entries = np.concatenate([chosen, rows[at_rows, None]], axis=1)
         # g_1 is the inverse of the others' product, so it adds nothing
-        keep = _transitive_mask([*entries.transpose(1, 0, 2), anchor], rows[at_rows])
+        keep = _transitive_mask(entries, anchor)
         if keep.any():
-            yield batch, slots[keep], prod[hits[keep]], rows[at_rows[keep]], entries[keep]
+            yield prod[hits[keep]], entries[keep]
 
 
-def _raw_tuples(
-    at: int, anchor: Perm, batch: list[tuple[Perm, ...]], slots: np.ndarray,
-    prods: np.ndarray, vs: np.ndarray,
-) -> list[tuple[Perm, ...]]:
-    """One raw tuple (g_1, ..., g_r) per surviving row of a _search_batches
-    batch, with the vectorized class at position at among the middle ones.
-    g_1 is the inverse of w = g_2 ... g_r, and a permutation's argsort is its
-    inverse."""
+def _raw_tuples(anchor: Perm, w: np.ndarray, entries: np.ndarray) -> list[tuple[Perm, ...]]:
+    """One raw tuple (g_1, ..., g_r) per row of a _search_batches batch: g_1
+    is the inverse of w = g_2 ... g_r (a permutation's argsort is its
+    inverse), g_2 the last of entries and g_3 ... g_{r-1} the others."""
     import numpy as np
-    firsts = map(tuple, np.argsort(prods, axis=1).tolist())
-    choices = map(batch.__getitem__, slots.tolist())
-    return [
-        (g1,) + c[:at] + (v,) + c[at:] + (anchor,)
-        for g1, v, c in zip(firsts, map(tuple, vs.tolist()), choices)
-    ]
+    firsts = np.argsort(w, axis=1).tolist()
+    rest = np.roll(entries, 1, axis=1).tolist()
+    return [(tuple(g1), *map(tuple, gs), anchor) for g1, gs in zip(firsts, rest)]
 
 
 def _search_generic(
     d: int, classes: tuple[CycleType, ...], anchor: Perm, centralizer: Sequence[Conjugator]
 ) -> Iterator[tuple[Perm, ...]]:
     """The raw tuples of _search_batches, one (g_1, ..., g_r) per surviving row."""
-    at = _vectorized(classes[1:-1])
-    for batch, slots, prods, vs, _ in _search_batches(d, classes, anchor, centralizer):
-        yield from _raw_tuples(at, anchor, batch, slots, prods, vs)
+    for w, entries in _search_batches(d, classes, anchor, centralizer):
+        yield from _raw_tuples(anchor, w, entries)
 
 
 # kept only because perfbench/tracer.py still resolves these two names
@@ -533,10 +518,15 @@ def _conjugacy_minima(elements: Iterable[Perm], centralizer: Sequence[Conjugator
     return sorted(minima)
 
 
-def _search_plan(t: RamificationType) -> tuple[int, ...] | None:
-    """The search order of t's classes, or None when no product of them is
-    even, let alone the identity.  A type over the degree bound or over
-    MAX_SEARCH_ROWS raises BoundExceededError, before any class is built."""
+def _search_plan(
+    t: RamificationType,
+) -> tuple[tuple[int, ...], Perm, list[Conjugator], np.ndarray, Iterator] | None:
+    """The search of t: the search order of its classes, the anchor, its
+    centralizer Z as _centralizer pairs and as the columns of zt, and the
+    _search_batches batches in chunks of _SEARCH_ROWS // |Z| rows, which bound
+    the (rows, |Z|, ...) arrays of the Z tests; or None when no product of t's
+    classes is even, let alone the identity.  A type over the degree bound or
+    over MAX_SEARCH_ROWS raises BoundExceededError, before any class is built."""
     max_degree = PURE_CYCLE_MAX_DEGREE if t.is_pure_cycle else DEFAULT_MAX_DEGREE
     if t.degree > max_degree:
         raise BoundExceededError(
@@ -545,12 +535,23 @@ def _search_plan(t: RamificationType) -> tuple[int, ...] | None:
     if sum(cl.parity < 0 for cl in t.classes) % 2:
         return None
     order = _search_order(t.classes)
-    rows = _search_rows(tuple(t.classes[i] for i in order))
+    classes = tuple(t.classes[i] for i in order)
+    rows = _search_rows(classes)
     if rows > MAX_SEARCH_ROWS:
         raise BoundExceededError(
             f"about {rows:.1e} search rows exceed enumeration row bound {MAX_SEARCH_ROWS:.0e}"
         )
-    return order
+    import numpy as np
+    anchor = classes[-1].canonical_representative()
+    centralizer = _centralizer(anchor)
+    zt = np.array([z for z, _ in centralizer], dtype=np.int16).T
+    step = max(1, _SEARCH_ROWS // len(centralizer))
+    chunks = (
+        (w[lo:lo + step], entries[lo:lo + step])
+        for w, entries in _search_batches(t.degree, classes, anchor, centralizer)
+        for lo in range(0, len(w), step)
+    )
+    return order, anchor, centralizer, zt, chunks
 
 
 def _enumerate(t: RamificationType) -> tuple[list[tuple[Perm, ...]], list[Conjugator]]:
@@ -560,30 +561,26 @@ def _enumerate(t: RamificationType) -> tuple[list[tuple[Perm, ...]], list[Conjug
 
     A class meets the search in one Z_x-orbit, so it keeps one row, the least
     (_least_in_orbit); a row whose Z_x is trivial is kept untested."""
-    order = _search_plan(t)
-    if order is None:
+    plan = _search_plan(t)
+    if plan is None:
         return [], []
-    d = t.degree
-    classes = tuple(t.classes[i] for i in order)
-    anchor = classes[-1].canonical_representative()
-    centralizer = _centralizer(anchor)
+    order, anchor, centralizer, zt, chunks = plan
     moved = order != tuple(sorted(order))
-    last = _centralizer(t.classes[-1].canonical_representative()) if moved else centralizer
+    last = centralizer
+    if t.classes[-1] != t.classes[order[-1]]:
+        last = _centralizer(t.classes[-1].canonical_representative())
 
     def canonical(tup: tuple[Perm, ...]) -> tuple[Perm, ...]:
         """tup in canonical form, in type order."""
         return _canonical_anchored(
             _anchor_last(_to_type_order(tup, order)) if moved else tup, last)
 
-    import numpy as np
-    zt = np.array([z for z, _ in centralizer], dtype=np.int16).T
-    at = _vectorized(classes[1:-1])
     reps = []
-    for batch, slots, prods, vs, looped in _search_batches(d, classes, anchor, centralizer):
-        tested = _x_fixers(looped, zt) > 1
+    for w, entries in chunks:
+        tested = _x_fixers(entries, zt) > 1
         keep = ~tested
-        keep[tested] = _least_in_orbit(looped[tested], vs[tested], zt)
-        reps += map(canonical, _raw_tuples(at, anchor, batch, slots[keep], prods[keep], vs[keep]))
+        keep[tested] = _least_in_orbit(entries[tested], zt)
+        reps += map(canonical, _raw_tuples(anchor, w[keep], entries[keep]))
     return sorted(reps), last
 
 
@@ -604,37 +601,32 @@ def _fixers(perms: np.ndarray, zt: np.ndarray) -> np.ndarray:
     return (zt[perms] == perms[..., zt]).all(axis=-2)
 
 
-def _x_fixers(looped: np.ndarray, zt: np.ndarray) -> np.ndarray:
-    """|Z_x| for each row of a _search_batches batch, given its looped entries
-    and Z as the columns of zt: the number of z that fix x, the first looped
-    entry, or |Z| when no class is looped."""
+def _x_fixers(entries: np.ndarray, zt: np.ndarray) -> np.ndarray:
+    """|Z_x| for each row of a _search_batches batch, given Z as the columns
+    of zt: the number of z that fix x = entries[:, 0], or |Z| when no class is
+    looped and entries holds v alone."""
     import numpy as np
-    if looped.shape[1]:
-        return _fixers(looped[:, 0], zt).sum(axis=1)
-    return np.full(len(looped), zt.shape[1])
+    if entries.shape[1] > 1:
+        return _fixers(entries[:, 0], zt).sum(axis=1)
+    return np.full(len(entries), zt.shape[1])
 
 
-def _least_in_orbit(looped: np.ndarray, v: np.ndarray, zt: np.ndarray) -> np.ndarray:
-    """Mask of the _search_batches rows, given by their looped entries and v,
-    that no z in Z, the columns of zt, conjugates to a lexicographically smaller
-    (x, ..., v), x the first looped entry: the Z_x-least rows, since a z outside
-    Z_x moves x up its Z-orbit.  Chunks of _SEARCH_ROWS // |Z| rows bound memory."""
+def _least_in_orbit(entries: np.ndarray, zt: np.ndarray) -> np.ndarray:
+    """Mask of the rows of a _search_batches batch that no z in Z, the
+    columns of zt, conjugates to a lexicographically smaller row: the Z_x-least
+    rows, since x = entries[:, 0] comes first and a z outside Z_x moves x up
+    its Z-orbit."""
     import numpy as np
-    gens = np.concatenate([looped, v[:, None]], axis=1)
+    n, k, d = entries.shape
     size = zt.shape[1]
     z_inv = np.argsort(zt, axis=0).astype(np.int16).ravel()  # z_c^-1(p) at p * size + c
     cols = np.arange(size, dtype=np.int32)[:, None]
-    keep = np.empty(len(gens), dtype=bool)
-    step = max(1, _SEARCH_ROWS // size)
-    for lo in range(0, len(gens), step):
-        g = gens[lo:lo + step]
-        # z_c^-1 g z_c for each row g and column c, as (rows, |Z|, entries)
-        conj = z_inv[g[:, :, zt.T].astype(np.int32) * size + cols].transpose(0, 2, 1, 3)
-        conj = conj.reshape(len(g), size, -1)
-        own = g.reshape(len(g), 1, -1)
-        first = (conj != own).argmax(axis=2)[..., None]  # 0 when equal
-        keep[lo:lo + step] = ~np.take_along_axis(conj < own, first, axis=2).any(axis=(1, 2))
-    return keep
+    # z_c^-1 g z_c for each row g and column c, as (rows, |Z|, entries)
+    conj = z_inv[entries[:, :, zt.T].astype(np.int32) * size + cols].transpose(0, 2, 1, 3)
+    conj = conj.reshape(n, size, k * d)
+    own = entries.reshape(n, 1, k * d)
+    first = (conj != own).argmax(axis=2)[..., None]  # 0 when equal
+    return ~np.take_along_axis(conj < own, first, axis=2).any(axis=(1, 2))
 
 
 def hurwitz_number_brute(t: RamificationType) -> int:
@@ -642,28 +634,23 @@ def hurwitz_number_brute(t: RamificationType) -> int:
     type t, by Burnside's lemma over the raw tuples of the search, without
     storing a class (see the module docstring).  Refused as
     enumerate_factorizations refuses."""
-    order = _search_plan(t)
-    if order is None:
+    plan = _search_plan(t)
+    if plan is None:
         return 0
     import numpy as np
-    d = t.degree
-    classes = tuple(t.classes[i] for i in order)
-    anchor = classes[-1].canonical_representative()
-    centralizer = _centralizer(anchor)
-    zt = np.array([z for z, _ in centralizer], dtype=np.int16).T
+    *_, zt, chunks = plan
+    size = zt.shape[1]
     total = 0
-    for _, _, _, v, looped in _search_batches(d, classes, anchor, centralizer):
-        fixing = _x_fixers(looped, zt)
-        stab = np.ones(len(v), dtype=np.int64)
-        tested = np.nonzero(fixing > 1)[0]
-        if tested.size:
-            # every entry but g_1, which the product of the others fixes
-            gens = np.concatenate([looped[tested], v[tested, None]], axis=1)
-            stab[tested] = _fixers(gens, zt).all(axis=1).sum(axis=1)
-        total += int((len(centralizer) // fixing) @ stab)
-    h, rest = divmod(total, len(centralizer))
+    for _, entries in chunks:
+        fixing = _x_fixers(entries, zt)
+        stab = np.ones(len(entries), dtype=np.int64)
+        tested = fixing > 1
+        # every entry but g_1, which the product of the others fixes
+        stab[tested] = _fixers(entries[tested], zt).all(axis=1).sum(axis=1)
+        total += int((size // fixing) @ stab)
+    h, rest = divmod(total, size)
     if rest:  # a bug, never rounded, so raised also under python -O
-        raise AssertionError(f"{t}: {total} is not a multiple of |Z| = {len(centralizer)}")
+        raise AssertionError(f"{t}: {total} is not a multiple of |Z| = {size}")
     return h
 
 

@@ -170,8 +170,8 @@ def test_braid_orbits_output_is_pinned(monkeypatch):
     kinds = set()
     x_fixers = hurwitz._x_fixers
 
-    def recording(looped, zt):
-        fixing = x_fixers(looped, zt)
+    def recording(entries, zt):
+        fixing = x_fixers(entries, zt)
         kinds.update((fixing > 1).tolist())
         return fixing
 

@@ -325,19 +325,20 @@ def _case(text, count, order):
         # r = 3: the only middle class is vectorized
         _case("5:2,4,5", 1, (2, 0, 1)),  # searched as 5:5,2,4
         _case("6:4,2-2,6", 2, (0, 1, 2)),
-        # r = 4, searched with the 5-cycle anchored and the 4-cycle solved
-        _case("6:2,5,3,4", 10, (3, 0, 2, 1)),
-        _case("6:2,3,5,4", 10, (3, 0, 1, 2)),
+        # r = 4, searched with the 5-cycle anchored, the 4-cycle solved and
+        # the 3-cycle vectorized
+        _case("6:2,5,3,4", 10, (3, 2, 0, 1)),
+        _case("6:2,3,5,4", 10, (3, 1, 0, 2)),
         # r = 4, ties: the later 4-cycle is anchored, the earlier one solved
         _case("6:3,4,4,3", 12, (1, 0, 3, 2)),
         # r = 5, searched with the 3-cycle solved and 2-cycles in the middle
         _case("5:2,3,2,2,4", 48, (1, 0, 2, 3, 4)),
         _case("5:2,2,3,2,4", 48, (2, 0, 1, 3, 4)),
         _case("5:2,2,2,3,4", 48, (3, 0, 1, 2, 4)),
-        # r = 5 in type order: the vectorized 3-cycle at middle position 0, 1, 2
+        # r = 5 with the vectorized 3-cycle at middle type position 0, 1, 2
         _case("5:3,3,2,2,3", 55, (0, 1, 2, 3, 4)),
-        _case("5:3,2,3,2,3", 55, (0, 1, 2, 3, 4)),
-        _case("5:3,2,2,3,3", 55, (0, 1, 2, 3, 4)),
+        _case("5:3,2,3,2,3", 55, (0, 2, 1, 3, 4)),
+        _case("5:3,2,2,3,3", 55, (0, 3, 1, 2, 4)),
         _case("4:2,2,2,2,3", 27, (0, 1, 2, 3, 4)),  # middle classes all tied
         _case("4:2,2,2,2,2,2", 120, (0, 1, 2, 3, 4, 5)),  # r = 6, all tied
     ],
@@ -401,6 +402,26 @@ def test_enumeration_with_a_large_centralizer_last():
     )
 
 
+@pytest.mark.parametrize("text, builds", [("9:2,5,6,7", 1), ("8:2,7,7,2", 2)])
+def test_enumeration_builds_the_last_centralizer_only_for_another_class(
+    text, builds, monkeypatch
+):
+    """9:2,5,6,7 is searched in a moved order, but its anchor is its last
+    class, whose centralizer serves both the search and the canonical forms.
+    8:2,7,7,2 anchors a 7-cycle and ends with a 2-cycle, so it builds two."""
+    calls = []
+
+    def counting(g):
+        calls.append(g)
+        return _centralizer(g)
+
+    monkeypatch.setattr(hurwitz, "_centralizer", counting)
+    t = RamificationType.parse(text)
+    assert _search_order(t.classes) != tuple(range(4))
+    assert len(enumerate_factorizations(t)) == hurwitz_formula_pure4(t.degree, t.exponents)
+    assert len(calls) == builds
+
+
 # -- search filters and deduplication ------------------------------------------
 
 
@@ -462,7 +483,10 @@ def test_batch_filters_agree_with_per_row_checks(batch):
     ]
     key = cycle_type_keys(np.array([target.canonical_representative()], dtype=np.int16))
     assert (keys == key).tolist() == [cycle_lengths(g) == target.lengths for g in rows]
-    assert _transitive_mask(shared, words).tolist() == [
+    # each row holds shared and then its own permutation; the identity as
+    # anchor adds nothing
+    entries = np.array([[*shared, g] for g in rows], dtype=np.int16)
+    assert _transitive_mask(entries, identity(d)).tolist() == [
         is_transitive(shared + (g,), d) for g in rows
     ]
 
@@ -489,9 +513,9 @@ def test_search_streams_the_looped_choices():
     "text", ["5:2,2,4,4", "6:2,5,3,4", "6:2,3,2,4,4", "6:2,2,3,3,5", "4:2,2,2,2,2,2", "9:5,5,5,5"]
 )
 def test_search_finds_the_same_raw_tuples_in_any_batch_size(text, monkeypatch):
-    # looped entries right of the vectorized class, left of it (6:2,5,3,4),
-    # on both sides (6:2,3,2,4,4), two to its left (6:2,2,3,3,5), three, and
-    # a vectorized class larger than a batch (9:5,5,5,5)
+    # one looped class, two, three, and a vectorized class larger than a
+    # batch (9:5,5,5,5).  Both counts, whose Z tests run in chunks of
+    # _SEARCH_ROWS // |Z| rows, agree at every batch size.
     t = RamificationType.parse(text)
     classes = tuple(t.classes[i] for i in _search_order(t.classes))
     anchor = classes[-1].canonical_representative()
@@ -502,6 +526,7 @@ def test_search_finds_the_same_raw_tuples_in_any_batch_size(text, monkeypatch):
         raw = list(_search_generic(t.degree, classes, anchor, centralizer))
         assert len(set(raw)) == len(raw)
         found.append(set(raw))
+        assert hurwitz_number_brute(t) == len(enumerate_factorizations(t))
     assert found[0] and found[0] == found[1] == found[2]
 
 
@@ -513,9 +538,7 @@ def test_search_finds_the_same_raw_tuples_in_any_batch_size(text, monkeypatch):
 def test_orbit_sweep_keeps_one_minimum_per_centralizer_orbit(text):
     # 6:2-2,4,6 has a self-paired class, whose orbit is smaller than the
     # centralizer; 7:2,3,3,3,4 has negative genus, so its raw set is empty.
-    # The first looped class lies right of the vectorized one in 5:2,2,4,4,
-    # 5:2,2,2,3,4 and 6:3,2,5,4, left of it in 6:2,5,3,4 and 6:2,3,2,4,4;
-    # the r = 3 types have none.
+    # The r = 3 types have no looped class.
     t = RamificationType.parse(text)
     d = t.degree
     classes = tuple(t.classes[i] for i in _search_order(t.classes))
@@ -528,26 +551,24 @@ def test_orbit_sweep_keeps_one_minimum_per_centralizer_orbit(text):
         assert {tuple(conjugate(z, g) for g in tup) for tup in full} == set(full)
     expected = {_canonical_anchored(tup, conjugators) for tup in full}
 
-    middle = classes[1:-1]
-    at = max(range(len(middle)), key=lambda i: middle[i].class_size())
-    looped = [i for i in range(len(middle)) if i != at]
     reduced = list(_search_generic(d, classes, anchor, conjugators))
     # the Z_x-least test of _enumerate, here on every row, also those with a
     # trivial Z_x, which it must keep: one row per class, none lost
     zt = np.array(centralizer, dtype=np.int16).T
     kept = []
-    for batch, slots, prods, vs, entries in _search_batches(d, classes, anchor, conjugators):
-        keep = _least_in_orbit(entries, vs, zt)
-        kept += _raw_tuples(at, anchor, batch, slots[keep], prods[keep], vs[keep])
+    for w, entries in _search_batches(d, classes, anchor, conjugators):
+        keep = _least_in_orbit(entries, zt)
+        kept += _raw_tuples(anchor, w[keep], entries[keep])
     assert len(kept) == len(expected)
     assert {_canonical_anchored(tup, conjugators) for tup in kept} == expected
 
     closure = {tuple(conjugate(z, g) for g in tup) for z in centralizer for tup in reduced}
     assert closure == set(full)
-    if looped:
-        # the first looped entry is always the least of its centralizer orbit
+    if len(classes) > 3:
+        # the first looped entry, after g_1 and v, is always the least of its
+        # centralizer orbit
         for tup in reduced:
-            x = tup[1 + looped[0]]
+            x = tup[2]
             assert _canonical_anchored((x,), conjugators) == (x,)
     else:
         assert reduced == full
@@ -592,6 +613,33 @@ def test_enumeration_output_is_pinned():
     assert len(types) == 264
     assert digest.hexdigest() == (
         "75e4a701903268ad8ea29cea6265ce17489965f0bb2ad727217119b266d2b68f"
+    )
+
+
+def _many_point_types():
+    """Every genus-0 pure 5-point type of degree at most 6 and 6-point type
+    of degree at most 5, in every class order."""
+    for r, top in ((5, 6), (6, 5)):
+        for d in range(2, top + 1):
+            for es in itertools.combinations_with_replacement(range(2, d + 1), r):
+                if sum(es) == 2 * d + r - 2:
+                    for order in sorted(set(itertools.permutations(es))):
+                        yield RamificationType.pure(d, order)
+
+
+def test_many_point_counts_and_enumeration_are_pinned():
+    """Both enumerators with two or three middle classes, whose search order
+    puts the vectorized class before the looped ones: any change of a count,
+    a representative or their order changes the digest."""
+    digest = hashlib.sha256()
+    types = list(_many_point_types())
+    for t in types:
+        digest.update(f"{t} {hurwitz_number_brute(t)}\n".encode())
+        for f in enumerate_factorizations(t):
+            digest.update(f"{f.perms}\n".encode())
+    assert len(types) == 183
+    assert digest.hexdigest() == (
+        "33e5d4cb0787ec396252a0fc138c13c4505f91ea5c537585ac36b9f7dc4a34fc"
     )
 
 
@@ -719,3 +767,19 @@ def test_enumeration_at_degree_eleven_pure_cycle_bound():
         t = RamificationType.pure(11, es)
         assert hurwitz_number_brute(t) == hurwitz_formula_pure4(11, es), str(t)
     assert hurwitz_formula_pure4(11, (2, 2, 9, 11)) == 11
+
+
+@pytest.mark.slow
+def test_count_tests_the_centralizer_in_chunks():
+    """The anchor's centralizer of 11:6,6,6,6 has 720 elements, so the Z tests
+    of a batch build (rows, d, |Z|) arrays.  Unchunked they peaked at 59.7 MB
+    under tracemalloc, and in chunks of _SEARCH_ROWS // |Z| rows at 35.8 MB."""
+    t = RamificationType.parse("11:6,6,6,6")
+    hurwitz_number_brute(RamificationType.parse("5:2,2,4,4"))  # numpy loaded
+    tracemalloc.start()
+    try:
+        assert hurwitz_number_brute(t) == 36
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 55 * 2**20
