@@ -82,12 +82,6 @@ def badtype_exponents(d: int) -> Iterator[tuple[int, int, int, int]]:
                     yield (e1, e2, e3, e4)
 
 
-def two_cycle_type(d: int, e1: int, e2: int, e3: int, e4: int) -> RamificationType:
-    return RamificationType(
-        d, (CycleType(d, (e1, e2)), CycleType(d, (e3,)), CycleType(d, (e4,)))
-    )
-
-
 def _data_path(name: str):
     return resources.files("purecycle").joinpath("data", name)
 
@@ -128,7 +122,7 @@ def criterion_3() -> str:
     checked = with_e4_d = 0
     for d in range(4, 10):
         for e1, e2, e3, e4 in badtype_exponents(d):
-            brute = hurwitz_number_brute(two_cycle_type(d, e1, e2, e3, e4))
+            brute = hurwitz_number_brute(RamificationType.two_cycle(d, e1, e2, e3, e4))
             formula = hurwitz_formula_badtype(d, e1, e2, e3, e4)
             assert brute == formula, (
                 f"(d={d}; {e1}-{e2},{e3},{e4}): brute {brute} != formula {formula}"
@@ -178,7 +172,7 @@ def criterion_5() -> str:
         ] + [RamificationType.pure(d, es) for es in genus0_pure4_exponents(d)]
         if d in (5, 7):  # prime degrees: two-cycle classifier applies
             type_lists += [
-                two_cycle_type(d, *es) for es in badtype_exponents(d)
+                RamificationType.two_cycle(d, *es) for es in badtype_exponents(d)
             ]
         for t in type_lists:
             expected = monodromy_classify(t)
@@ -242,9 +236,8 @@ def criterion_7() -> str:
         for e1 in range(2, p):
             for e2 in range(e1, p + 1 - e1):
                 eps = p + 2 - e1 - e2
-                if 2 <= eps <= p - 1:
-                    assert signature_check(p, [(e1, e2), (eps,), (p,)]), (p, e1, e2)
-                    signature_checks += 1
+                assert signature_check(p, [(e1, e2), (eps,), (p,)]), (p, e1, e2)
+                signature_checks += 1
     return f"{invariant_checks} invariant triples, {signature_checks} signatures"
 
 
@@ -283,12 +276,7 @@ def criterion_9() -> str:
         for e1 in range(2, p):
             for e2 in range(e1, p + 1 - e1):
                 eps = p + 2 - e1 - e2
-                if not 2 <= eps <= p - 1:
-                    continue
-                tau_star = RamificationType(
-                    p,
-                    (CycleType(p, (e1, e2)), CycleType(p, (eps,)), CycleType(p, (p,))),
-                )
+                tau_star = RamificationType.two_cycle(p, e1, e2, eps, p)
                 gamma = galois_factor(monodromy_classify(tau_star))
                 h = hurwitz_formula_badtype(p, e1, e2, eps, p)
                 eps_h = tail_invariants(p, (eps,)).h

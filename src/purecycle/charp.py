@@ -31,7 +31,7 @@ from typing import Sequence
 from .arith import require_prime
 from .braid import admissible_enumerate_char0
 from .errors import InvalidTypeError
-from .hurwitz import hurwitz_formula_badtype, hurwitz_formula_pure4
+from .hurwitz import RamificationType, hurwitz_formula_badtype, hurwitz_formula_pure4
 
 
 @dataclass(frozen=True)
@@ -176,18 +176,14 @@ def n_prime_tau_star(
     p: int, e1: int, e2: int, n_tails: int, aut0: int, gamma: int
 ) -> Fraction:
     """n' for the modified type (p; e1-e2, p+2-e1-e2, p), in terms of the
-    unknown number of e1-e2 tails and their point-fixing automorphism order:
+    unknown number N of e1-e2 tails and their point-fixing automorphism order:
 
-        (1 + [e1 = e2]) * N * (p-1) / (gcd(p-1, e1+e2-2) * gamma * |Aut0|)
+        (1 + [e1 = e2]) * N * m / (gamma * |Aut0|),  m of the e1-e2 tail
     """
-    require_prime(p)
+    m = tail_invariants(p, (e1, e2)).m
     if min(n_tails, aut0, gamma) <= 0:
         raise InvalidTypeError("parameters must be positive")
-    delta = 1 if e1 == e2 else 0
-    return Fraction(
-        (1 + delta) * n_tails * (p - 1),
-        math.gcd(p - 1, e1 + e2 - 2) * gamma * aut0,
-    )
+    return Fraction((1 + (e1 == e2)) * n_tails * m, gamma * aut0)
 
 
 _EXCLUDED_2CYCLE = (5, 2, 2, 4, 4)
@@ -204,10 +200,7 @@ def bad_count_2cycle(p: int, e1: int, e2: int, e3: int, e4: int) -> ReductionCou
     require_prime(p)
     if e1 > e2:
         raise InvalidTypeError("need e1 <= e2")
-    if e1 + e2 + e3 + e4 != 2 * p + 2:
-        raise InvalidTypeError("genus-0 condition violated")
-    if e1 + e2 > p:
-        raise InvalidTypeError("need e1+e2 <= p")
+    RamificationType.two_cycle(p, e1, e2, e3, e4).require_genus0()
     if (p, e1, e2, *sorted((e3, e4))) == _EXCLUDED_2CYCLE:
         raise InvalidTypeError("(5; 2-2, 4, 4) is excluded from this count")
     n = p + 1 - e1 - e2
@@ -230,18 +223,15 @@ def three_point_good_reduction(d: int, a: int, b: int, c: int, p: int) -> bool:
     require_prime(p)
     if max(a, b, c) >= p:
         raise InvalidTypeError("all three indices must be < p")
-    if a + b + c != 2 * d + 1 or max(a, b, c) > d or min(a, b, c) < 2:
-        raise InvalidTypeError(f"({d}; {a},{b},{c}) is not a genus-0 triple")
+    RamificationType.pure(d, (a, b, c)).require_genus0()
     return d < p
 
 
 def _validate_sorted_pure4(p: int, es: tuple[int, int, int, int]) -> None:
+    """p prime and e1 <= e2 <= e3 <= e4 < p; the caller checks genus 0."""
     require_prime(p)
-    e1, e2, e3, e4 = es
-    if not (1 < e1 <= e2 <= e3 <= e4 < p):
-        raise InvalidTypeError(f"need 1 < e1 <= e2 <= e3 <= e4 < p, got {es}")
-    if sum(es) != 2 * p + 2:
-        raise InvalidTypeError("genus-0 condition violated")
+    if tuple(sorted(es)) != es or es[-1] >= p:
+        raise InvalidTypeError(f"need e1 <= e2 <= e3 <= e4 < p, got {es}")
 
 
 def bad_single_node(p: int, e3: int, e4: int) -> int:
@@ -265,7 +255,7 @@ def admissible_reduction_census(
     """
     es = (e1, e2, e3, e4)
     _validate_sorted_pure4(p, es)
-    h = hurwitz_formula_pure4(p, es)
+    h = hurwitz_formula_pure4(p, es)  # checks genus 0
     single_bad = bad_single_node(p, e3, e4)
     n = p + 1 - e1 - e2
     if (p, *es) == _EXCLUDED_2CYCLE:
@@ -293,12 +283,9 @@ def single_cycle_node_bad_general(
     (d-p+1)(d+p+1-e3-e4) when d+1 >= e2+e3 or d+1-e1 < p; otherwise every
     single-cycle-node admissible cover is bad and the full mass is returned.
     """
-    require_prime(p)
     es = (e1, e2, e3, e4)
-    if tuple(sorted(es)) != es or not (1 < e1 and e4 < p):
-        raise InvalidTypeError(f"need 1 < e1 <= e2 <= e3 <= e4 < p, got {es}")
-    if sum(es) != 2 * d + 2:
-        raise InvalidTypeError("genus-0 condition violated")
+    _validate_sorted_pure4(p, es)
+    RamificationType.pure(d, es).require_genus0()
     if d < p:
         return 0  # all component degrees stay below p
     if d + 1 >= e2 + e3 or d + 1 - e1 < p:
@@ -312,8 +299,8 @@ def p_hurwitz_pure4(p: int, e1: int, e2: int, e3: int, e4: int) -> int:
     min_i e_i(p+1-e_i) - p."""
     es = (e1, e2, e3, e4)
     require_prime(p)
-    if any(not 2 <= e < p for e in es):
-        raise InvalidTypeError(f"need 2 <= e_i < p, got {es}")
+    if max(es) >= p:
+        raise InvalidTypeError(f"need e_i < p, got {es}")
     return hurwitz_formula_pure4(p, es) - p
 
 
@@ -323,4 +310,5 @@ def good_degeneration(p: int, e1: int, e2: int, e3: int, e4: int) -> bool | None
     None when e1+e2 and e3 are both even, where the question is open."""
     es = (e1, e2, e3, e4)
     _validate_sorted_pure4(p, es)
+    RamificationType.pure(p, es).require_genus0()
     return None if _delta_undetermined(e1, e2, e3) else True

@@ -105,9 +105,7 @@ def _formula_count(t: RamificationType) -> int:
 def cmd_hurwitz(args, out) -> int:
     if args.list and (args.format != "table" or args.mode != "both"):
         raise InvalidTypeError("--list writes JSON lines and takes no --format or --mode")
-    t = RamificationType.parse(args.type)
-    if t.genus() != 0:
-        raise InvalidTypeError(f"{t} is not a genus-0 type (genus {t.genus()})")
+    t = RamificationType.parse(args.type).require_genus0()
     if args.list:
         reps = enumerate_factorizations(t)
         out.write(factorizations_to_jsonl(reps) + ("\n" if reps else ""))

@@ -133,6 +133,11 @@ class RamificationType:
         return cls(degree, tuple(CycleType(degree, (e,)) for e in exponents))
 
     @classmethod
+    def two_cycle(cls, degree: int, e1: int, e2: int, e3: int, e4: int) -> "RamificationType":
+        """The type (degree; e1-e2, e3, e4)."""
+        return cls(degree, tuple(CycleType(degree, c) for c in ((e1, e2), (e3,), (e4,))))
+
+    @classmethod
     def parse(cls, text: str) -> "RamificationType":
         """Parse the compact grammar ``d:e1,...,er`` (r >= 3) / ``d:e1-e2,e3,e4``."""
         head, sep, rest = text.partition(":")
@@ -168,6 +173,14 @@ class RamificationType:
         if twice < 0:
             raise InvalidTypeError(f"type {self} has negative genus")
         return twice // 2
+
+    def require_genus0(self) -> "RamificationType":
+        """The type itself if its genus is 0.  Every class already fits in
+        S_degree, so this is the whole check that a closed formula needs."""
+        g = self.genus()
+        if g:
+            raise InvalidTypeError(f"{self} is not a genus-0 type (genus {g})")
+        return self
 
     def two_cycle_exponents(self) -> tuple[int, int, int, int] | None:
         """(e1, e2, e3, e4) with e1 <= e2 and e3 <= e4 for the shape
@@ -226,12 +239,7 @@ def hurwitz_formula_pure4(d: int, exponents: Sequence[int]) -> int:
     es = tuple(exponents)
     if len(es) != 4:
         raise InvalidTypeError("exactly four exponents required")
-    if any(not 2 <= e <= d for e in es):
-        raise InvalidTypeError(f"exponents {es} out of range for degree {d}")
-    if sum(es) != 2 * d + 2:
-        raise InvalidTypeError(
-            f"genus-0 condition violated: sum {sum(es)} != {2 * d + 2}"
-        )
+    RamificationType.pure(d, es).require_genus0()
     return min(e * (d + 1 - e) for e in es)
 
 
@@ -243,14 +251,7 @@ def hurwitz_formula_badtype(d: int, e1: int, e2: int, e3: int, e4: int) -> int:
     the single self-paired factorization that appears when d, e3, e4 are all
     even.  Always positive.
     """
-    if e1 + e2 + e3 + e4 != 2 * d + 2:
-        raise InvalidTypeError(
-            f"genus-0 condition violated: sum {e1 + e2 + e3 + e4} != {2 * d + 2}"
-        )
-    if e1 + e2 > d:
-        raise InvalidTypeError(f"two-cycle class {e1}-{e2} does not fit in degree {d}")
-    if any(e < 2 for e in (e1, e2, e3, e4)) or max(e3, e4) > d:
-        raise InvalidTypeError("cycle lengths must lie in [2, d]")
+    RamificationType.two_cycle(d, e1, e2, e3, e4).require_genus0()
     if e1 != e2:
         value = (d + 1 - e1 - e2) * min(e1, e2, d + 1 - e3, d + 1 - e4)
     else:
@@ -275,10 +276,8 @@ def monodromy_classify(t: RamificationType) -> GroupReport:
     (p; e1-e2, e3, e4): A_p iff e3, e4 are odd (genus 0 then makes e1+e2 even),
     S_p otherwise, except (5; 2-2, 4,4) with affine monodromy F_5 : F_5^*.
     """
-    d = t.degree
+    d = t.require_genus0().degree
     if t.is_pure_cycle:
-        if t.genus() != 0:
-            raise InvalidTypeError("pure-cycle classifier needs a genus-0 type")
         es = t.exponents
         if (d, tuple(sorted(es))) == _EXCEPTIONAL_PURE:
             return GroupReport(6, 120, True)
@@ -290,10 +289,6 @@ def monodromy_classify(t: RamificationType) -> GroupReport:
         if not is_prime(d):
             raise InvalidTypeError("two-cycle classifier needs prime degree")
         e1, e2, e3, e4 = exponents
-        if e1 + e2 > d:
-            raise InvalidTypeError("two-cycle classifier needs e1+e2 <= p")
-        if t.genus() != 0:
-            raise InvalidTypeError("two-cycle classifier needs a genus-0 type")
         if (d, (e1, e2), (e3, e4)) == _EXCEPTIONAL_PAIR:
             return GroupReport(5, 20, True)
         alternating = e3 % 2 and e4 % 2

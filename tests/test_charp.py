@@ -22,6 +22,7 @@ from purecycle.charp import (
     wewers_lift_count,
 )
 from purecycle.errors import InvalidTypeError
+from purecycle.hurwitz import hurwitz_formula_badtype, hurwitz_formula_pure4
 from purecycle.perm import CycleType
 
 
@@ -120,6 +121,66 @@ def test_wewers_lift_count():
         assert Fraction(h, aut0) == 1
     with pytest.raises(InvalidTypeError):
         wewers_lift_count(7, 0, [(1, 1)])
+
+
+@pytest.mark.parametrize(
+    "fn, args",
+    [
+        # e = 1, e > d, the two-cycle class too big for S_d, and a sum other than 2d+2
+        (hurwitz_formula_pure4, (5, (1, 3, 4, 4))),
+        (hurwitz_formula_pure4, (5, (2, 2, 2, 6))),
+        (hurwitz_formula_pure4, (5, (2, 2, 4, 5))),
+        (hurwitz_formula_badtype, (7, 1, 1, 7, 7)),
+        (hurwitz_formula_badtype, (7, 2, 2, 2, 10)),
+        (hurwitz_formula_badtype, (7, 4, 4, 4, 4)),
+        (hurwitz_formula_badtype, (7, 2, 2, 4, 7)),
+        (admissible_enumerate_char0, (5, 1, 3, 4, 4)),
+        (admissible_enumerate_char0, (5, 2, 2, 2, 6)),
+        (admissible_enumerate_char0, (5, 2, 2, 4, 5)),
+        (admissible_enumerate_char0, (5, 4, 4, 2, 2)),  # unsorted
+        (bad_count_2cycle, (7, 1, 1, 7, 7)),
+        (bad_count_2cycle, (7, 2, 2, 1, 11)),
+        (bad_count_2cycle, (7, 2, 2, 2, 10)),
+        (bad_count_2cycle, (7, 4, 4, 4, 4)),
+        (bad_count_2cycle, (7, 2, 2, 4, 7)),
+        (bad_count_2cycle, (7, 3, 2, 4, 7)),  # e1 > e2
+        (p_hurwitz_3pt_badtype, (7, 1, 1, 7, 7)),
+        (p_hurwitz_3pt_badtype, (7, 2, 2, 2, 10)),
+        (p_hurwitz_3pt_badtype, (7, 4, 4, 4, 4)),
+        (p_hurwitz_3pt_badtype, (7, 2, 2, 4, 7)),
+        (p_hurwitz_3pt_badtype, (7, 3, 2, 4, 7)),
+        # in degree p, e > d is e4 >= p
+        (admissible_reduction_census, (7, 1, 4, 5, 6)),
+        (admissible_reduction_census, (7, 2, 3, 4, 5)),
+        (admissible_reduction_census, (7, 6, 5, 3, 2)),
+        (admissible_reduction_census, (7, 2, 2, 5, 7)),
+        (good_degeneration, (7, 1, 4, 5, 6)),
+        (good_degeneration, (7, 2, 3, 4, 5)),
+        (good_degeneration, (7, 6, 5, 3, 2)),
+        (good_degeneration, (7, 2, 2, 5, 7)),
+        (p_hurwitz_pure4, (7, 1, 4, 5, 6)),
+        (p_hurwitz_pure4, (7, 2, 3, 4, 5)),
+        (p_hurwitz_pure4, (7, 2, 2, 5, 7)),
+        (single_cycle_node_bad_general, (9, 11, 1, 4, 7, 8)),
+        (single_cycle_node_bad_general, (5, 11, 2, 2, 2, 6)),
+        (single_cycle_node_bad_general, (9, 11, 2, 4, 7, 9)),
+        (single_cycle_node_bad_general, (9, 11, 8, 5, 5, 2)),
+        (single_cycle_node_bad_general, (12, 11, 2, 4, 9, 11)),
+        (three_point_good_reduction, (5, 1, 5, 5, 7)),
+        (three_point_good_reduction, (5, 2, 2, 7, 11)),
+        (three_point_good_reduction, (5, 2, 3, 4, 7)),
+        (three_point_good_reduction, (5, 3, 3, 5, 5)),
+        # the pair class e1-e2 of the modified type: e = 1, e > p, e1 + e2 > p
+        (n_prime_tau_star, (7, 1, 100, 1, 1, 1)),
+        (n_prime_tau_star, (7, 1, 6, 1, 1, 1)),
+        (n_prime_tau_star, (7, 2, 8, 1, 1, 1)),
+        (n_prime_tau_star, (7, 4, 4, 1, 1, 1)),
+    ],
+    ids=lambda v: v.__name__ if callable(v) else str(v).replace(" ", ""),
+)
+def test_invalid_genus0_inputs_raise(fn, args):
+    with pytest.raises(InvalidTypeError):
+        fn(*args)
 
 
 def test_n_prime_tau_star():
@@ -263,18 +324,11 @@ def test_single_cycle_node_bad_general_full_mass_matches_taxonomy():
 
 def test_tau_star_cancellation_spot():
     rng = random.Random(3)
-    from purecycle.hurwitz import (
-        RamificationType,
-        galois_factor,
-        hurwitz_formula_badtype,
-        monodromy_classify,
-    )
+    from purecycle.hurwitz import RamificationType, galois_factor, monodromy_classify
 
     p, e1, e2 = 11, 3, 4
     eps = p + 2 - e1 - e2
-    tau_star = RamificationType(
-        p, (CycleType(p, (e1, e2)), CycleType(p, (eps,)), CycleType(p, (p,)))
-    )
+    tau_star = RamificationType.two_cycle(p, e1, e2, eps, p)
     gamma = galois_factor(monodromy_classify(tau_star))
     h = hurwitz_formula_badtype(p, e1, e2, eps, p)
     for _ in range(50):

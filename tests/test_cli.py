@@ -239,6 +239,21 @@ def test_group_rejects_degree_below_one(degree, tmp_path):
 @pytest.mark.parametrize(
     "text, err",
     [
+        ("", "no generators found in {path}"),
+        ("degree: 5\n", "no generators found in {path}"),
+        ("degree: 5\n(1,2)\ndegree: 5\n", "duplicate degree header"),
+    ],
+    ids=["empty-file", "header-only", "duplicate-header"],
+)
+def test_group_file_without_generators_exit2(text, err, tmp_path):
+    path = tmp_path / "gens.txt"
+    path.write_text(text)
+    assert run_cli("group", str(path)) == (2, "", f"error: {err.format(path=path)}\n")
+
+
+@pytest.mark.parametrize(
+    "text, err",
+    [
         ("degree: 30000000\n(1,2)\n", "degree 30000000 exceeds group degree bound 40"),
         ("degree: 40\n" + "(1,2)\n" * 300000, "300000 generators exceed group generator bound 370"),
     ],

@@ -55,12 +55,6 @@ from purecycle.perm import (
 )
 
 
-def pair_type(d, e1, e2, e3, e4):
-    return RamificationType(
-        d, (CycleType(d, (e1, e2)), CycleType(d, (e3,)), CycleType(d, (e4,)))
-    )
-
-
 # -- ramification types -------------------------------------------------------
 
 
@@ -140,9 +134,9 @@ def test_enumeration_matches_independent_reference():
         RamificationType.pure(4, (2, 2, 3, 3)),
         RamificationType.pure(6, (2, 2, 5, 5)),
         RamificationType.pure(5, (2, 4, 5)),
-        pair_type(6, 2, 2, 4, 6),
-        pair_type(5, 2, 2, 4, 4),
-        pair_type(6, 2, 3, 4, 5),
+        RamificationType.two_cycle(6, 2, 2, 4, 6),
+        RamificationType.two_cycle(5, 2, 2, 4, 4),
+        RamificationType.two_cycle(6, 2, 3, 4, 5),
     ]
     for t in cases:
         assert hurwitz_number_brute(t) == reference_hurwitz_count(t), str(t)
@@ -165,7 +159,8 @@ def test_enumeration_bound_guard():
     with pytest.raises(BoundExceededError):
         enumerate_factorizations(RamificationType.pure(12, (6, 6, 7, 7)))
     with pytest.raises(BoundExceededError):
-        enumerate_factorizations(pair_type(10, 2, 2, 8, 10))  # non-pure bound is 9
+        # the bound for types that are not pure-cycle is 9
+        enumerate_factorizations(RamificationType.two_cycle(10, 2, 2, 8, 10))
 
 
 def test_search_row_bound_separates_the_timed_types():
@@ -189,11 +184,12 @@ def test_enumeration_parity_obstruction_gives_empty():
     # odd total parity: a single transposition class cannot multiply to 1
     t = RamificationType(4, tuple(CycleType(4, (2,)) for _ in range(3)))
     assert enumerate_factorizations(t) == []
+    assert hurwitz_number_brute(t) == 0
 
 
 def test_conjugation_completeness():
     rng = random.Random(42)
-    for t in (RamificationType.pure(5, (2, 2, 4, 4)), pair_type(6, 2, 2, 4, 6)):
+    for t in (RamificationType.pure(5, (2, 2, 4, 4)), RamificationType.two_cycle(6, 2, 2, 4, 6)):
         reps = enumerate_factorizations(t)
         rep_set = {f.perms for f in reps}
         for f in reps:
@@ -244,15 +240,15 @@ def test_monodromy_classify_examples():
     s5_on_6_points = GroupReport(6, 120, True)
     affine_f5 = GroupReport(5, 20, True)
     assert monodromy_classify(RamificationType.pure(6, (4, 4, 5))) == s5_on_6_points
-    assert monodromy_classify(pair_type(5, 2, 2, 4, 4)) == affine_f5
+    assert monodromy_classify(RamificationType.two_cycle(5, 2, 2, 4, 4)) == affine_f5
     assert s5_on_6_points.classification == affine_f5.classification == "other"
     a7 = GroupReport(7, 2520, True)
     s7 = GroupReport(7, 5040, True)
     assert (a7.classification, s7.classification) == ("alternating", "symmetric")
     assert monodromy_classify(RamificationType.pure(7, (3, 3, 5, 5))) == a7
     assert monodromy_classify(RamificationType.pure(7, (2, 4, 4, 6))) == s7
-    assert monodromy_classify(pair_type(7, 2, 3, 4, 7)) == s7
-    assert monodromy_classify(pair_type(7, 3, 3, 5, 5)) == a7
+    assert monodromy_classify(RamificationType.two_cycle(7, 2, 3, 4, 7)) == s7
+    assert monodromy_classify(RamificationType.two_cycle(7, 3, 3, 5, 5)) == a7
 
 
 def test_two_cycle_monodromy_is_alternating_exactly_when_every_class_is_even():
@@ -261,7 +257,7 @@ def test_two_cycle_monodromy_is_alternating_exactly_when_every_class_is_even():
     for p in (5, 7, 11, 13):
         for e1, e2, e3, e4 in itertools.product(range(2, p + 1), repeat=4):
             if e1 <= e2 and e3 <= e4 and e1 + e2 <= p and e1 + e2 + e3 + e4 == 2 * p + 2:
-                t = pair_type(p, e1, e2, e3, e4)
+                t = RamificationType.two_cycle(p, e1, e2, e3, e4)
                 even = all(cl.parity == 1 for cl in t.classes)
                 assert (monodromy_classify(t).classification == "alternating") == even, str(t)
                 shapes += 1
@@ -271,13 +267,13 @@ def test_two_cycle_monodromy_is_alternating_exactly_when_every_class_is_even():
 
 def test_monodromy_classify_rejects_uncovered_shapes():
     with pytest.raises(InvalidTypeError):
-        monodromy_classify(pair_type(6, 2, 2, 4, 6))  # composite degree
+        monodromy_classify(RamificationType.two_cycle(6, 2, 2, 4, 6))  # composite degree
     with pytest.raises(InvalidTypeError):
         monodromy_classify(RamificationType.pure(5, (5, 5, 5)))  # genus 2
 
 
 def test_monodromy_matches_computed_groups_small():
-    for t in (RamificationType.pure(6, (4, 4, 5)), pair_type(5, 2, 2, 4, 4)):
+    for t in (RamificationType.pure(6, (4, 4, 5)), RamificationType.two_cycle(5, 2, 2, 4, 4)):
         expected = monodromy_classify(t)
         for f in enumerate_factorizations(t):
             assert group_analyze(f.perms) == expected
@@ -303,9 +299,9 @@ def test_json_roundtrip():
 def test_brute_count_invariant_under_class_reordering():
     # permuting the branch classes permutes factorizations bijectively
     assert hurwitz_number_brute(RamificationType.pure(5, (4, 2, 4, 2))) == 8
-    assert hurwitz_number_brute(pair_type(7, 2, 4, 6, 4)) == hurwitz_number_brute(
-        pair_type(7, 2, 4, 4, 6)
-    )
+    assert hurwitz_number_brute(
+        RamificationType.two_cycle(7, 2, 4, 6, 4)
+    ) == hurwitz_number_brute(RamificationType.two_cycle(7, 2, 4, 4, 6))
 
 
 def test_enumeration_with_pair_class_anchored_last():
