@@ -336,12 +336,26 @@ def _check_tail_prime(p: int) -> None:
         )
 
 
+def _tail_length(p: int, lengths: tuple[int, ...]) -> int:
+    """The one rule for which classes have a two-point tail at the prime p: a
+    single cycle 2 <= e <= p-1, or a pair 2 <= e1 <= e2 with e1+e2 <= p.
+    Returns e, or e1+e2-1 for a pair: the single cycle with the same h and m."""
+    require_prime(p)
+    if lengths == (p,):
+        raise InvalidTypeError("a p-cycle class has no tail")
+    length = sum(lengths) - len(lengths) + 1
+    if len(lengths) not in (1, 2) or not 2 <= lengths[0] <= lengths[-1] or length > p - 1:
+        raise InvalidTypeError(
+            f"the class {'-'.join(map(str, lengths))} has no tail at p = {p}: "
+            "need 2 <= e <= p-1, or 2 <= e1 <= e2 with e1+e2 <= p"
+        )
+    return length
+
+
 def tail_polynomial_single(p: int, e: int) -> FpPoly:
     """F(y) = y^p + y^e, the degree-p tail with tame index e at y = 0."""
     _check_tail_prime(p)
-    require_prime(p)
-    if not 2 <= e <= p - 1:
-        raise InvalidTypeError(f"need 2 <= e <= p-1, got e={e}")
+    _tail_length(p, (e,))
     return FpPoly.monomial(p, p) + FpPoly.monomial(p, e)
 
 
@@ -349,9 +363,7 @@ def tail_polynomial_cofactor(p: int, e1: int, e2: int) -> FpPoly:
     """The monic degree p-e1-e2 cofactor Ftilde of the two-point tail, from
     the downward recursion c_{i-1} = c_i (e1+i) / (e1+e2+i-1)."""
     _check_tail_prime(p)
-    require_prime(p)
-    if not (2 <= e1 <= e2 and e1 + e2 <= p):
-        raise InvalidTypeError(f"need 2 <= e1 <= e2 and e1+e2 <= p, got ({e1},{e2})")
+    _tail_length(p, (e1, e2))
     n = p - e1 - e2
     coeffs = [0] * (n + 1)
     coeffs[n] = 1
@@ -367,12 +379,9 @@ def tail_polynomial_double(p: int, e1: int, e2: int) -> FpPoly:
     """F(y) = y^e1 (y-1)^e2 Ftilde(y), monic of degree p, whose derivative is
     a nonzero constant times y^(e1-1) (y-1)^(e2-1)."""
     cofactor = tail_polynomial_cofactor(p, e1, e2)
-    y = FpPoly.monomial(p, 1)
-    y_minus_1 = y - FpPoly.monomial(p, 0)
-    poly = FpPoly.monomial(p, e1)
-    for _ in range(e2):
-        poly = poly * y_minus_1
-    poly = poly * cofactor
+    # y^e1 (y-1)^e2 = sum_k C(e2, k) (-1)^(e2-k) y^(e1+k), by the binomial theorem
+    ends = [0] * e1 + [(-1) ** (e2 - k) * math.comb(e2, k) for k in range(e2 + 1)]
+    poly = FpPoly(p, ends) * cofactor
     assert poly.degree() == p
     return poly
 

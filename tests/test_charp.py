@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import random
@@ -5,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from purecycle.arith import is_prime
 from purecycle.braid import admissible_enumerate_char0
 from purecycle.charp import (
     ReductionCount,
@@ -22,6 +24,12 @@ from purecycle.charp import (
     wewers_lift_count,
 )
 from purecycle.errors import InvalidTypeError
+from purecycle.fppoly import (
+    ramification_profile,
+    tail_polynomial_cofactor,
+    tail_polynomial_double,
+    tail_polynomial_single,
+)
 from purecycle.hurwitz import hurwitz_formula_badtype, hurwitz_formula_pure4
 from purecycle.perm import CycleType
 
@@ -62,6 +70,74 @@ def test_tail_invariants_bounds():
         assert tail_invariants(p, (2, p - 2)).h == 1  # e1 + e2 = p fits
         with pytest.raises(InvalidTypeError):
             tail_invariants(p, (3, p - 2))  # e1 + e2 = p + 1, each part in range
+
+
+# every entry point that takes a tail class, fed the class (e,) or (e1, e2)
+_SINGLE_TAIL_ENTRY_POINTS = {
+    "tail_invariants": lambda p, e: tail_invariants(p, (e,)),
+    "tail_aut_orders": tail_aut_orders,
+    "tail_polynomial_single": tail_polynomial_single,
+}
+_PAIR_TAIL_ENTRY_POINTS = {
+    "tail_invariants": lambda p, e1, e2: tail_invariants(p, (e1, e2)),
+    "n_prime_tau_star": lambda p, e1, e2: n_prime_tau_star(p, e1, e2, 1, 1, 1),
+    "tail_polynomial_cofactor": tail_polynomial_cofactor,
+    "tail_polynomial_double": tail_polynomial_double,
+}
+
+
+@pytest.mark.parametrize("p", [5, 7, 11])
+@pytest.mark.parametrize(
+    "bad, entry_points",
+    [
+        (lambda p: (p,), _SINGLE_TAIL_ENTRY_POINTS),
+        (lambda p: (1,), _SINGLE_TAIL_ENTRY_POINTS),
+        (lambda p: (p + 1,), _SINGLE_TAIL_ENTRY_POINTS),
+        (lambda p: (3, p - 2), _PAIR_TAIL_ENTRY_POINTS),
+        (lambda p: ((p + 1) // 2, (p + 1) // 2), _PAIR_TAIL_ENTRY_POINTS),
+        (lambda p: (2, 2, 2), {"tail_invariants": lambda p, *c: tail_invariants(p, c)}),
+        # tail_invariants sorts its class; the polynomials take e1 <= e2 only
+        (lambda p: (3, 2), {k: _PAIR_TAIL_ENTRY_POINTS[k] for k in
+                            ("tail_polynomial_cofactor", "tail_polynomial_double")}),
+    ],
+    ids=["e=p", "e=1", "e=p+1", "e1+e2=p+1", "e1=e2,e1+e2=p+1", "three-cycles", "unsorted-pair"],
+)
+def test_every_tail_entry_point_rejects_a_class_with_one_message(p, bad, entry_points):
+    """One rule decides which classes have a tail, so every entry point
+    rejects the same class with the same message."""
+    messages = {}
+    for name, fn in entry_points.items():
+        with pytest.raises(InvalidTypeError) as info:
+            fn(p, *bad(p))
+        messages[name] = str(info.value)
+    assert len(set(messages.values())) == 1, messages
+    if bad(p) == (p,):
+        assert messages.popitem()[1] == "a p-cycle class has no tail"
+
+
+def test_tail_invariants_and_polynomials_are_pinned():
+    """(h, m) of every class with a tail at the primes up to 101, and the
+    coefficients and ramification profile of every two-point tail polynomial
+    at the primes up to 31."""
+    def tail_classes(p):
+        yield from ((e,) for e in range(2, p))
+        for e1 in range(2, p // 2 + 1):
+            yield from ((e1, e2) for e2 in range(e1, p + 1 - e1))
+
+    digest = hashlib.sha256()
+    for p in filter(is_prime, range(2, 102)):
+        for lengths in tail_classes(p):
+            ti = tail_invariants(p, lengths)
+            digest.update(f"{p} {lengths} {ti.h} {ti.m}\n".encode())
+    for p in filter(is_prime, range(2, 32)):
+        for lengths in tail_classes(p):
+            if len(lengths) == 2:
+                poly = tail_polynomial_double(p, *lengths)
+                profile = ramification_profile(poly)
+                digest.update(f"{p} {lengths} {poly.coeffs} {profile}\n".encode())
+    assert digest.hexdigest() == (
+        "3a1031978a3c2a6414c062a97f92dd5bc965fa63daf772f248cc4da6cb7866fe"
+    )
 
 
 def test_signature_check_agrees_with_fraction_sum():
@@ -180,6 +256,22 @@ def test_wewers_lift_count():
 )
 def test_invalid_genus0_inputs_raise(fn, args):
     with pytest.raises(InvalidTypeError):
+        fn(*args)
+
+
+@pytest.mark.parametrize(
+    "fn, args",
+    [
+        (p_hurwitz_pure4, (7, 2, 2, 5, 7)),
+        (three_point_good_reduction, (6, 3, 3, 7, 7)),
+        (admissible_reduction_census, (7, 2, 2, 5, 7)),
+        (good_degeneration, (7, 2, 2, 5, 7)),
+        (single_cycle_node_bad_general, (9, 7, 2, 4, 7, 7)),
+    ],
+    ids=lambda v: v.__name__ if callable(v) else str(v).replace(" ", ""),
+)
+def test_exponents_at_or_above_p_give_one_message(fn, args):
+    with pytest.raises(InvalidTypeError, match=r"^need every e_i < p = 7, got \("):
         fn(*args)
 
 
